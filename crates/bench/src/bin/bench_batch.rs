@@ -15,10 +15,8 @@
 use hydra_bench::experiments as exp;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    let scale = exp::ExperimentScale::from_env();
-    let (table, json) = exp::batch_amortization(scale);
+    let config = hydra_bench::RunConfig::from_args();
+    let (table, json) = exp::batch_amortization(&config);
     println!("{}", table.to_text());
     let path = hydra_bench::report::write_bench_artifact("batch", &json).expect("write json");
     println!("wrote {}", path.display());

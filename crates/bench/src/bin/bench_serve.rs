@@ -173,17 +173,15 @@ fn run_cell(service: &QueryService, queries: &[Query], offered_qps: f64) -> Cell
 }
 
 fn main() {
-    let shards_flag = hydra_bench::cli::init_shards();
-    let shard_ladder: Vec<usize> = if std::env::var("HYDRA_SHARDS").is_ok() {
-        vec![shards_flag]
-    } else {
-        SHARD_LADDER.to_vec()
+    let config = hydra_bench::RunConfig::from_args();
+    let shard_ladder: Vec<usize> = match config.shards {
+        Some(shards) => vec![shards],
+        None => SHARD_LADDER.to_vec(),
     };
-    let deadline_flag = hydra_bench::cli::init_deadline_ms();
-    let deadline_ladder: Vec<u64> = if std::env::var("HYDRA_DEADLINE_MS").is_ok() {
-        deadline_flag.into_iter().collect()
-    } else {
-        DEADLINE_LADDER.to_vec()
+    let deadline_ladder: Vec<u64> = match config.deadline_ms {
+        Some(0) => Vec::new(),
+        Some(ms) => vec![ms],
+        None => DEADLINE_LADDER.to_vec(),
     };
 
     let data = RandomWalkGenerator::new(0xDA7A, LENGTH).dataset(SERIES);
@@ -310,18 +308,8 @@ fn main() {
     // much of the fleet must answer. `--quorum` overrides the lane's
     // best-effort default, `--shard-fault-seed` the default seed (0 runs the
     // lane fault-free as a plumbing check).
-    let quorum_flag = hydra_bench::cli::init_quorum();
-    let quorum = if std::env::var("HYDRA_QUORUM").is_ok() {
-        quorum_flag
-    } else {
-        QuorumPolicy::BestEffort
-    };
-    let seed_flag = hydra_bench::cli::init_shard_fault_seed();
-    let fault_seed = if std::env::var("HYDRA_SHARD_FAULT_SEED").is_ok() {
-        seed_flag
-    } else {
-        CHAOS_FAULT_SEED
-    };
+    let quorum = config.quorum.unwrap_or(QuorumPolicy::BestEffort);
+    let fault_seed = config.shard_fault_seed.unwrap_or(CHAOS_FAULT_SEED);
     println!("\nchaos lane: quorum {quorum}, shard-fault seed {fault_seed:#x}");
     let mut chaos_rows = String::new();
     for &shards in &shard_ladder {

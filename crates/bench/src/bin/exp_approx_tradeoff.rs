@@ -10,20 +10,13 @@
 //! This binary sweeps the whole mode ladder itself, so it takes no `--mode`
 //! flag (unlike the per-figure binaries).
 
-use hydra_bench::experiments::{approx_tradeoff, ExperimentScale};
-use hydra_bench::report::results_dir;
-use std::io::Write as _;
+use hydra_bench::experiments::approx_tradeoff;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    let (table, json) = approx_tradeoff(ExperimentScale::from_env());
-    println!("{}", table.to_text());
-    let dir = results_dir();
-    let csv_path = table.write_csv(&dir, "approx_tradeoff").expect("write csv");
-    println!("wrote {}", csv_path.display());
-    let json_path = dir.join("approx_tradeoff.json");
-    let mut file = std::fs::File::create(&json_path).expect("create approx_tradeoff.json");
-    file.write_all(json.as_bytes()).expect("write json");
+    let config = hydra_bench::RunConfig::from_args();
+    let (table, json) = approx_tradeoff(&config);
+    let csv_path = table.emit("approx_tradeoff").expect("write csv");
+    let json_path = csv_path.with_extension("json");
+    std::fs::write(&json_path, json).expect("write json");
     println!("wrote {}", json_path.display());
 }

@@ -1,17 +1,10 @@
 //! EXP-F2: regenerates Figure 2 (leaf-size parametrization).
 
-use hydra_bench::experiments::{fig2_leaf_size, ExperimentScale};
-use hydra_bench::report::results_dir;
+use hydra_bench::experiments::fig2_leaf_size;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig2_leaf_size(ExperimentScale::from_env());
-    println!("{}", table.to_text());
-    let path = table
-        .write_csv(&results_dir(), "fig2_leaf_size")
+    let config = hydra_bench::RunConfig::from_args();
+    fig2_leaf_size(&config)
+        .emit("fig2_leaf_size")
         .expect("write csv");
-    println!("wrote {}", path.display());
 }

@@ -1,30 +1,11 @@
 //! EXP-F4: regenerates Figure 4 (sequential and random disk accesses vs
 //! dataset size and series length).
 
-use hydra_bench::experiments::{fig4_disk_accesses, ExperimentScale};
-use hydra_bench::report::results_dir;
+use hydra_bench::experiments::fig4_disk_accesses;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let (by_size, by_length) = fig4_disk_accesses(ExperimentScale::from_env());
-    println!("{}", by_size.to_text());
-    println!("{}", by_length.to_text());
-    let dir = results_dir();
-    println!(
-        "wrote {}",
-        by_size
-            .write_csv(&dir, "fig4_disk_accesses_by_size")
-            .expect("csv")
-            .display()
-    );
-    println!(
-        "wrote {}",
-        by_length
-            .write_csv(&dir, "fig4_disk_accesses_by_length")
-            .expect("csv")
-            .display()
-    );
+    let config = hydra_bench::RunConfig::from_args();
+    let (by_size, by_length) = fig4_disk_accesses(&config);
+    by_size.emit("fig4_disk_accesses_by_size").expect("csv");
+    by_length.emit("fig4_disk_accesses_by_length").expect("csv");
 }

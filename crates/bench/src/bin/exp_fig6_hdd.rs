@@ -1,18 +1,11 @@
 //! EXP-F6: regenerates Figure 6 (scalability comparison, HDD model).
 
-use hydra_bench::experiments::{fig6_fig7_platform_comparison, ExperimentScale};
+use hydra_bench::experiments::fig6_fig7_platform_comparison;
 use hydra_bench::harness::Platform;
-use hydra_bench::report::results_dir;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = fig6_fig7_platform_comparison(ExperimentScale::from_env(), Platform::Hdd);
-    println!("{}", table.to_text());
-    let path = table
-        .write_csv(&results_dir(), "fig6_hdd")
+    let config = hydra_bench::RunConfig::from_args();
+    fig6_fig7_platform_comparison(&config, Platform::Hdd)
+        .emit("fig6_hdd")
         .expect("write csv");
-    println!("wrote {}", path.display());
 }

@@ -1,29 +1,10 @@
 //! EXP-F8: regenerates Figure 8 (index footprint and tightness of the lower
 //! bound).
 
-use hydra_bench::experiments::{fig8_footprint, fig8_tlb, ExperimentScale};
-use hydra_bench::report::results_dir;
+use hydra_bench::experiments::{fig8_footprint, fig8_tlb};
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let scale = ExperimentScale::from_env();
-    let footprint = fig8_footprint(scale);
-    let tlb = fig8_tlb(scale);
-    println!("{}", footprint.to_text());
-    println!("{}", tlb.to_text());
-    let dir = results_dir();
-    println!(
-        "wrote {}",
-        footprint
-            .write_csv(&dir, "fig8_footprint")
-            .expect("csv")
-            .display()
-    );
-    println!(
-        "wrote {}",
-        tlb.write_csv(&dir, "fig8_tlb").expect("csv").display()
-    );
+    let config = hydra_bench::RunConfig::from_args();
+    fig8_footprint(&config).emit("fig8_footprint").expect("csv");
+    fig8_tlb(&config).emit("fig8_tlb").expect("csv");
 }

@@ -1,17 +1,10 @@
 //! EXP-T1: regenerates Table 1 (the method property matrix).
 
 use hydra_bench::experiments::methods_table;
-use hydra_bench::report::results_dir;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let table = methods_table();
-    println!("{}", table.to_text());
-    let path = table
-        .write_csv(&results_dir(), "table1_methods")
+    let config = hydra_bench::RunConfig::from_args();
+    methods_table(&config)
+        .emit("table1_methods")
         .expect("write csv");
-    println!("wrote {}", path.display());
 }

@@ -17,24 +17,16 @@
 //! or `--budget` flag (those drive the per-figure binaries); `--threads N`
 //! and `HYDRA_SCALE` apply as usual.
 
-use hydra_bench::experiments::{robustness, ExperimentScale};
-use hydra_bench::report::results_dir;
-use std::io::Write as _;
+use hydra_bench::experiments::robustness;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    let (table, json) = robustness(ExperimentScale::from_env());
-    println!("{}", table.to_text());
-
+    let config = hydra_bench::RunConfig::from_args();
+    let (table, json) = robustness(&config);
     let bench_path =
         hydra_bench::report::write_bench_artifact("robust", &json).expect("write json");
     println!("wrote {}", bench_path.display());
-
-    let dir = results_dir();
-    let csv_path = table.write_csv(&dir, "robustness").expect("write csv");
-    println!("wrote {}", csv_path.display());
-    let json_path = dir.join("robustness.json");
-    let mut file = std::fs::File::create(&json_path).expect("create robustness.json");
-    file.write_all(json.as_bytes()).expect("write json");
+    let csv_path = table.emit("robustness").expect("write csv");
+    let json_path = csv_path.with_extension("json");
+    std::fs::write(&json_path, json).expect("write json");
     println!("wrote {}", json_path.display());
 }

@@ -1,81 +1,49 @@
 //! Runs every experiment in sequence (the full reproduction pass) and writes
 //! all CSVs under `results/`. Control dataset sizes with `HYDRA_SCALE`
-//! (`smoke`, `small`, `full`).
+//! (`smoke`, `small`, `full`); the shared flags apply to every experiment.
 
 use hydra_bench::experiments as exp;
 use hydra_bench::harness::Platform;
 use hydra_bench::report::results_dir;
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    hydra_bench::cli::init_index_dir();
-    hydra_bench::cli::init_mode();
-    hydra_bench::cli::init_batch();
-    let scale = exp::ExperimentScale::from_env();
+    let config = hydra_bench::RunConfig::from_args();
     let dir = results_dir();
     println!(
-        "running all experiments at scale {scale:?}; writing CSVs to {}\n",
+        "running all experiments at scale {:?}; writing CSVs to {}\n",
+        config.scale,
         dir.display()
     );
 
-    let t1 = exp::methods_table();
-    println!("{}", t1.to_text());
-    t1.write_csv(&dir, "table1_methods").unwrap();
+    exp::methods_table(&config).emit("table1_methods").unwrap();
+    exp::fig2_leaf_size(&config).emit("fig2_leaf_size").unwrap();
+    exp::fig3_scalability(&config)
+        .emit("fig3_scalability")
+        .unwrap();
+    let (f4a, f4b) = exp::fig4_disk_accesses(&config);
+    f4a.emit("fig4_disk_accesses_by_size").unwrap();
+    f4b.emit("fig4_disk_accesses_by_length").unwrap();
+    exp::fig5_lengths(&config).emit("fig5_lengths").unwrap();
+    let f6 = exp::fig6_fig7_platform_comparison(&config, Platform::Hdd);
+    f6.emit("fig6_hdd").unwrap();
+    let f7 = exp::fig6_fig7_platform_comparison(&config, Platform::Ssd);
+    f7.emit("fig7_ssd").unwrap();
+    exp::fig8_footprint(&config).emit("fig8_footprint").unwrap();
+    exp::fig8_tlb(&config).emit("fig8_tlb").unwrap();
+    exp::fig9_pruning(&config).emit("fig9_pruning").unwrap();
+    exp::table2_winners(&config)
+        .0
+        .emit("table2_winners")
+        .unwrap();
+    let f10 = exp::fig10_recommendations(&config);
+    f10.emit("fig10_recommendations").unwrap();
 
-    let f2 = exp::fig2_leaf_size(scale);
-    println!("{}", f2.to_text());
-    f2.write_csv(&dir, "fig2_leaf_size").unwrap();
-
-    let f3 = exp::fig3_scalability(scale);
-    println!("{}", f3.to_text());
-    f3.write_csv(&dir, "fig3_scalability").unwrap();
-
-    let (f4a, f4b) = exp::fig4_disk_accesses(scale);
-    println!("{}", f4a.to_text());
-    println!("{}", f4b.to_text());
-    f4a.write_csv(&dir, "fig4_disk_accesses_by_size").unwrap();
-    f4b.write_csv(&dir, "fig4_disk_accesses_by_length").unwrap();
-
-    let f5 = exp::fig5_lengths(scale);
-    println!("{}", f5.to_text());
-    f5.write_csv(&dir, "fig5_lengths").unwrap();
-
-    let f6 = exp::fig6_fig7_platform_comparison(scale, Platform::Hdd);
-    println!("{}", f6.to_text());
-    f6.write_csv(&dir, "fig6_hdd").unwrap();
-
-    let f7 = exp::fig6_fig7_platform_comparison(scale, Platform::Ssd);
-    println!("{}", f7.to_text());
-    f7.write_csv(&dir, "fig7_ssd").unwrap();
-
-    let f8 = exp::fig8_footprint(scale);
-    println!("{}", f8.to_text());
-    f8.write_csv(&dir, "fig8_footprint").unwrap();
-
-    let f8f = exp::fig8_tlb(scale);
-    println!("{}", f8f.to_text());
-    f8f.write_csv(&dir, "fig8_tlb").unwrap();
-
-    let f9 = exp::fig9_pruning(scale);
-    println!("{}", f9.to_text());
-    f9.write_csv(&dir, "fig9_pruning").unwrap();
-
-    let (t2, _) = exp::table2_winners(scale);
-    println!("{}", t2.to_text());
-    t2.write_csv(&dir, "table2_winners").unwrap();
-
-    let f10 = exp::fig10_recommendations(scale);
-    println!("{}", f10.to_text());
-    f10.write_csv(&dir, "fig10_recommendations").unwrap();
-
-    let (approx, approx_json) = exp::approx_tradeoff(scale);
-    println!("{}", approx.to_text());
-    approx.write_csv(&dir, "approx_tradeoff").unwrap();
+    let (approx, approx_json) = exp::approx_tradeoff(&config);
+    approx.emit("approx_tradeoff").unwrap();
     std::fs::write(dir.join("approx_tradeoff.json"), approx_json).unwrap();
 
-    let (batch, batch_json) = exp::batch_amortization(scale);
-    println!("{}", batch.to_text());
-    batch.write_csv(&dir, "batch_amortization").unwrap();
+    let (batch, batch_json) = exp::batch_amortization(&config);
+    batch.emit("batch_amortization").unwrap();
     std::fs::write(dir.join("batch_amortization.json"), batch_json).unwrap();
 
     println!("all experiments complete; CSVs in {}", dir.display());

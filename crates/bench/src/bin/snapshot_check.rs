@@ -17,15 +17,15 @@
 
 use hydra_bench::registry::{MethodKind, SnapshotOutcome};
 use hydra_bench::run_build;
-use hydra_core::{BuildOptions, Parallelism, Query};
+use hydra_core::{BuildOptions, Query};
 use hydra_data::{QueryWorkload, RandomWalkGenerator, WorkloadSpec};
 
 fn main() {
-    hydra_bench::cli::init_threads();
-    let dir = hydra_bench::cli::init_index_dir().unwrap_or_else(|| {
-        std::env::set_var("HYDRA_INDEX_DIR", "snapshots");
-        "snapshots".into()
-    });
+    let mut config = hydra_bench::RunConfig::from_args();
+    let dir = config
+        .index_dir
+        .get_or_insert_with(|| "snapshots".into())
+        .clone();
     let expect_loaded = std::env::args().any(|a| a == "--expect-loaded");
 
     let data = RandomWalkGenerator::new(0xC0FFEE, 96).dataset(600);
@@ -49,15 +49,15 @@ fn main() {
             continue;
         }
         let (mut cached_engine, build) =
-            run_build(kind, &data, &options).expect("snapshot-aware build");
+            run_build(kind, &data, &options, &config).expect("snapshot-aware build");
         let cached = cached_engine
-            .answer_workload(&queries, Parallelism::from_env())
+            .answer_workload(&queries, config.threads)
             .expect("cached queries");
 
         // Fresh rebuild, bypassing the cache.
         let mut fresh_engine = kind.engine(&data, &options).expect("fresh build");
         let fresh = fresh_engine
-            .answer_workload(&queries, Parallelism::from_env())
+            .answer_workload(&queries, config.threads)
             .expect("fresh queries");
 
         let mut ok = true;

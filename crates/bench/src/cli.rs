@@ -1,879 +1,423 @@
-//! Minimal command-line plumbing shared by every experiment binary.
-//!
-//! The suite avoids external argument-parsing crates; the cross-cutting flags
-//! are:
-//!
-//! * `--threads N` — worker-thread count for query workloads *and* index
-//!   construction. [`init_threads`] parses it and exports `HYDRA_THREADS`,
-//!   which is where the harness ([`crate::harness::run_queries`]) and the
-//!   shared build options ([`crate::experiments::default_options`]) read it
-//!   back from.
-//! * `--index-dir DIR` — the on-disk index snapshot directory.
-//!   [`init_index_dir`] parses it and exports `HYDRA_INDEX_DIR`, which
-//!   [`crate::harness::run_build`] reads back: with the directory set, a
-//!   valid snapshot is *loaded* instead of rebuilding the index, and a fresh
-//!   build saves a snapshot for the next run — turning a multi-method sweep
-//!   from one rebuild per run into one build ever.
-//! * `--mode exact|ng|eps:<v>|deltaeps:<d>,<e>` — the answering mode query
-//!   workloads run under. [`init_mode`] parses and validates it and exports
-//!   `HYDRA_MODE`, which [`crate::harness::run_queries`] reads back when
-//!   constructing its queries. Methods that cannot answer the mode surface a
-//!   typed `UnsupportedMode` error (never a silent exact fallback).
-//! * `--batch N` — the query-batch size. [`init_batch`] parses it and exports
-//!   `HYDRA_BATCH`, which [`crate::harness::run_queries`] reads back: with a
-//!   batch size set, workloads run through `QueryEngine::answer_batch` in
-//!   batches of `N` queries, amortizing one data pass per batch for methods
-//!   with a native batch kernel. `0` (or unset) keeps the per-query loop.
-//!   Batches compose with `--mode` and `--threads` (thread-parallel across
-//!   batch chunks); answers and per-query counters are identical either way.
-//! * `--fault-seed N` — the deterministic fault-injection seed.
-//!   [`init_fault_seed`] parses it and exports `HYDRA_FAULT_SEED`, which
-//!   robustness binaries read back to construct a seeded
-//!   [`hydra_storage::FaultPlan`] on the store. `0` (or unset) runs
-//!   fault-free; the same seed reproduces the same fault sequence.
-//! * `--budget B` — the per-query anytime budget in raw series reads
-//!   (`inf` = unbudgeted). [`init_budget`] parses it and exports
-//!   `HYDRA_BUDGET`, which [`crate::harness::run_queries`] reads back when
-//!   constructing its queries: on exhaustion a method stops and returns its
-//!   best-so-far answer tagged `Guarantee::Truncated`.
-//! * `--shards N` — the serving layer's engine-shard count. [`init_shards`]
-//!   parses it and exports `HYDRA_SHARDS`, which the `bench_serve` binary
-//!   reads back when partitioning the dataset into per-shard engines.
-//! * `--deadline-ms D` — the serving layer's per-request deadline in
-//!   milliseconds. [`init_deadline_ms`] parses it and exports
-//!   `HYDRA_DEADLINE_MS`, which `bench_serve` reads back: the deadline is
-//!   mapped onto a raw-read budget under the storage cost model, so late
-//!   queries degrade to `Guarantee::Truncated` instead of timing out. `0`
-//!   (or unset) serves without deadlines.
-//! * `--quorum Q` — the serving layer's quorum policy (`all`, `best-effort`,
-//!   or a shard count). [`init_quorum`] parses it through
-//!   [`QuorumPolicy::parse`] and exports `HYDRA_QUORUM`, which `bench_serve`
-//!   reads back: with fewer than a full quorum answering, the merge over the
-//!   survivors is served tagged `Guarantee::Partial` instead of failing.
-//! * `--shard-fault-seed N` — the serving layer's shard-fault seed.
-//!   [`init_shard_fault_seed`] parses it and exports
-//!   `HYDRA_SHARD_FAULT_SEED`, which `bench_serve` reads back to construct a
-//!   service-level [`hydra_storage::FaultPlan`]; every shard derives its own
-//!   independent fault stream from it. `0` (or unset) serves fault-free.
-//!
-//! One call to each at the top of `main` wires a whole experiment binary.
+//! The run configuration shared by every experiment binary: one
+//! [`RunConfig`], parsed once per process and passed by reference to the
+//! harness ([`crate::harness::run_build`], [`crate::harness::run_queries`]),
+//! the shared build options ([`crate::experiments::default_options`]) and
+//! the experiments.
 
+use crate::experiments::ExperimentScale;
 use hydra_core::{AnswerMode, Budget, Parallelism};
 use hydra_serve::QuorumPolicy;
 use std::path::PathBuf;
 
-/// Parses `--threads N` (or `--threads=N`) from the process arguments,
-/// exports the value via `HYDRA_THREADS`, and returns the resolved worker
-/// count. Without the flag, an already-set `HYDRA_THREADS` is left alone
-/// (defaulting to serial when that is unset too). `--threads 0` means one
-/// worker per CPU.
+/// Every setting of one experiment run.
 ///
-/// A `--threads` flag with a missing or unparseable value aborts the process:
-/// silently falling back to serial would record benchmark results under the
-/// wrong configuration.
-pub fn init_threads() -> usize {
-    match threads_from(std::env::args()) {
-        Some(Ok(requested)) => std::env::set_var("HYDRA_THREADS", requested.to_string()),
-        Some(Err(bad)) => {
-            eprintln!("error: invalid --threads value {bad:?} (expected a number; 0 = one worker per CPU)");
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    Parallelism::from_env().worker_threads()
+/// Each field is set from its flag (`--x v` or `--x=v`), else from its
+/// environment variable (an empty one counts as unset), else from its
+/// default. A missing or invalid value is a typed [`ConfigError`]; the
+/// binaries report it and exit with status 2, because a silent fallback
+/// would record results under the wrong configuration.
+///
+/// | field | flag | variable | default | meaning |
+/// |-------|------|----------|---------|---------|
+/// | `threads` | `--threads N` | `HYDRA_THREADS` | serial | worker threads for query workloads *and* index builds; `0` = one per CPU |
+/// | `index_dir` | `--index-dir DIR` | `HYDRA_INDEX_DIR` | none | snapshot directory: valid snapshots are loaded instead of rebuilt, fresh builds are saved |
+/// | `mode` | `--mode M` | `HYDRA_MODE` | `exact` | answering mode: `exact`, `ng`, `eps:<v>` or `deltaeps:<d>,<e>`; methods that cannot answer it fail with a typed `UnsupportedMode` |
+/// | `batch` | `--batch N` | `HYDRA_BATCH` | `0` | query-batch size for `QueryEngine::answer_batch`; `0` = per-query loop |
+/// | `fault_seed` | `--fault-seed N` | `HYDRA_FAULT_SEED` | `0` | seeded [`hydra_storage::FaultPlan`] on the store, with a recovering retry policy; `0` = fault-free |
+/// | `budget` | `--budget B` | `HYDRA_BUDGET` | `inf` | per-query raw-read budget; exhausted queries return best-so-far answers tagged `Guarantee::Truncated` |
+/// | `shards` | `--shards N` | `HYDRA_SHARDS` | ladder | `bench_serve`'s shard count (≥ 1) in place of its shard ladder |
+/// | `deadline_ms` | `--deadline-ms D` | `HYDRA_DEADLINE_MS` | ladder | `bench_serve`'s request deadline in place of its deadline ladder; `0` skips the deadline lane |
+/// | `quorum` | `--quorum Q` | `HYDRA_QUORUM` | lane default | `bench_serve`'s chaos-lane quorum policy: `all`, `best-effort` or a shard count |
+/// | `shard_fault_seed` | `--shard-fault-seed N` | `HYDRA_SHARD_FAULT_SEED` | lane default | `bench_serve`'s chaos-lane per-shard fault seed; `0` = fault-free |
+/// | `scale` | — | `HYDRA_SCALE` | `small` | dataset sizes: `smoke`, `small` or `full` (see [`ExperimentScale`]) |
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunConfig {
+    /// Worker threads for query workloads and index builds.
+    pub threads: Parallelism,
+    /// The snapshot directory index builds load from and save to.
+    pub index_dir: Option<PathBuf>,
+    /// The answering mode of query workloads.
+    pub mode: AnswerMode,
+    /// The query-batch size (`0` = per-query loop).
+    pub batch: usize,
+    /// The store's fault-injection seed (`0` = fault-free).
+    pub fault_seed: u64,
+    /// The per-query raw-read budget (`None` = unbudgeted).
+    pub budget: Option<Budget>,
+    /// `bench_serve`'s shard count (`None` = its shard ladder).
+    pub shards: Option<usize>,
+    /// `bench_serve`'s deadline in ms (`None` = its ladder, `Some(0)` = none).
+    pub deadline_ms: Option<u64>,
+    /// `bench_serve`'s chaos-lane quorum policy (`None` = the lane default).
+    pub quorum: Option<QuorumPolicy>,
+    /// `bench_serve`'s chaos-lane fault seed (`None` = the lane default).
+    pub shard_fault_seed: Option<u64>,
+    /// The experiment dataset sizes.
+    pub scale: ExperimentScale,
 }
 
-/// Extracts the `--threads` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not a number.
-fn threads_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<usize, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--threads" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            value.to_string()
+impl Default for RunConfig {
+    fn default() -> Self {
+        Self {
+            threads: Parallelism::Serial,
+            index_dir: None,
+            mode: AnswerMode::Exact,
+            batch: 0,
+            fault_seed: 0,
+            budget: None,
+            shards: None,
+            deadline_ms: None,
+            quorum: None,
+            shard_fault_seed: None,
+            scale: ExperimentScale::small(),
+        }
+    }
+}
+
+/// A setting given a missing or invalid value.
+#[derive(Debug)]
+pub struct ConfigError {
+    /// Where the value came from: the flag (`--threads`) or the variable
+    /// (`HYDRA_THREADS`).
+    pub source: String,
+    /// The value as given (empty when a flag has none).
+    pub value: String,
+    /// What the setting accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid {} value {:?} (expected {})",
+            self.source, self.value, self.expected
+        )
+    }
+}
+
+/// One settable value: its flag (if any), its variable, what it accepts and
+/// how a trimmed value is stored (`None` rejects it).
+struct Setting {
+    flag: Option<&'static str>,
+    env: &'static str,
+    expected: &'static str,
+    apply: fn(&mut RunConfig, &str) -> Option<()>,
+}
+
+const SETTINGS: [Setting; 11] = [
+    Setting {
+        flag: Some("--threads"),
+        env: "HYDRA_THREADS",
+        expected: "a number; 0 = one worker per CPU",
+        apply: |c, v| {
+            v.parse().ok().map(|n| {
+                c.threads = match n {
+                    0 => Parallelism::Auto,
+                    1 => Parallelism::Serial,
+                    n => Parallelism::Threads(n),
+                }
+            })
+        },
+    },
+    Setting {
+        flag: Some("--index-dir"),
+        env: "HYDRA_INDEX_DIR",
+        expected: "a directory path",
+        apply: |c, v| (!v.is_empty()).then(|| c.index_dir = Some(v.into())),
+    },
+    Setting {
+        flag: Some("--mode"),
+        env: "HYDRA_MODE",
+        expected: "exact | ng | eps:<v> | deltaeps:<d>,<e>",
+        apply: |c, v| AnswerMode::parse(v).ok().map(|mode| c.mode = mode),
+    },
+    Setting {
+        flag: Some("--batch"),
+        env: "HYDRA_BATCH",
+        expected: "a number; 0 = per-query execution",
+        apply: |c, v| v.parse().ok().map(|n| c.batch = n),
+    },
+    Setting {
+        flag: Some("--fault-seed"),
+        env: "HYDRA_FAULT_SEED",
+        expected: "a number; 0 = no faults",
+        apply: |c, v| v.parse().ok().map(|seed| c.fault_seed = seed),
+    },
+    Setting {
+        flag: Some("--budget"),
+        env: "HYDRA_BUDGET",
+        expected: "`inf` or a raw-read count",
+        apply: |c, v| Budget::parse(v).ok().map(|budget| c.budget = budget),
+    },
+    Setting {
+        flag: Some("--shards"),
+        env: "HYDRA_SHARDS",
+        expected: "a shard count >= 1",
+        apply: |c, v| {
+            v.parse()
+                .ok()
+                .filter(|&n| n >= 1)
+                .map(|n| c.shards = Some(n))
+        },
+    },
+    Setting {
+        flag: Some("--deadline-ms"),
+        env: "HYDRA_DEADLINE_MS",
+        expected: "milliseconds; 0 = none",
+        apply: |c, v| v.parse().ok().map(|ms| c.deadline_ms = Some(ms)),
+    },
+    Setting {
+        flag: Some("--quorum"),
+        env: "HYDRA_QUORUM",
+        expected: "`all`, `best-effort`, or a shard count >= 1",
+        apply: |c, v| QuorumPolicy::parse(v).ok().map(|q| c.quorum = Some(q)),
+    },
+    Setting {
+        flag: Some("--shard-fault-seed"),
+        env: "HYDRA_SHARD_FAULT_SEED",
+        expected: "a number; 0 = no faults",
+        apply: |c, v| v.parse().ok().map(|seed| c.shard_fault_seed = Some(seed)),
+    },
+    Setting {
+        flag: None,
+        env: "HYDRA_SCALE",
+        expected: "smoke | small | full",
+        apply: |c, v| ExperimentScale::parse(v).map(|scale| c.scale = scale),
+    },
+];
+
+impl RunConfig {
+    /// Parses every setting from `args` (the flags), then `env` (the
+    /// variables), then the defaults. Unknown arguments are ignored, so
+    /// binaries can take flags of their own.
+    pub fn parse(
+        args: &[String],
+        env: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, ConfigError> {
+        let mut config = Self::default();
+        for setting in &SETTINGS {
+            let given = setting
+                .flag
+                .and_then(|flag| Some((flag.to_string(), flag_value(args, flag)?)))
+                .or_else(|| {
+                    let value = env(setting.env).filter(|v| !v.trim().is_empty())?;
+                    Some((setting.env.to_string(), value))
+                });
+            if let Some((source, value)) = given {
+                if (setting.apply)(&mut config, value.trim()).is_none() {
+                    return Err(ConfigError {
+                        source,
+                        value,
+                        expected: setting.expected,
+                    });
+                }
+            }
+        }
+        Ok(config)
+    }
+
+    /// The configuration of this process: its arguments, then its
+    /// environment. Reports an invalid value and exits with status 2.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        Self::parse(&args, |name| std::env::var(name).ok()).unwrap_or_else(|e| exit_invalid(&e))
+    }
+
+    /// The configuration the environment alone sets (for tests and library
+    /// callers without flags). Reports an invalid value and exits with
+    /// status 2.
+    pub fn from_env() -> Self {
+        Self::parse(&[], |name| std::env::var(name).ok()).unwrap_or_else(|e| exit_invalid(&e))
+    }
+}
+
+fn exit_invalid(error: &ConfigError) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(2)
+}
+
+/// The value given to `flag` (`flag v` or `flag=v`; the first occurrence
+/// wins), empty when the flag ends the argument list, `None` when absent.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().enumerate().find_map(|(i, arg)| {
+        if arg == flag {
+            Some(args.get(i + 1).cloned().unwrap_or_default())
         } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<usize>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--index-dir DIR` (or `--index-dir=DIR`) from the process
-/// arguments, exports the value via `HYDRA_INDEX_DIR`, and returns the
-/// directory the run persists index snapshots under. Without the flag, an
-/// already-set `HYDRA_INDEX_DIR` is respected; `None` (no persistence, every
-/// build is fresh) when that is unset too.
-///
-/// A `--index-dir` flag with a missing value aborts the process: silently
-/// rebuilding everything would defeat the point of asking for persistence.
-pub fn init_index_dir() -> Option<PathBuf> {
-    match index_dir_from(std::env::args()) {
-        Some(Ok(dir)) => std::env::set_var("HYDRA_INDEX_DIR", &dir),
-        Some(Err(())) => {
-            eprintln!("error: --index-dir requires a directory path");
-            std::process::exit(2);
+            arg.strip_prefix(flag)?
+                .strip_prefix('=')
+                .map(str::to_string)
         }
-        None => {}
-    }
-    index_dir_from_env()
-}
-
-/// The snapshot directory currently exported through `HYDRA_INDEX_DIR`
-/// (empty means unset).
-pub fn index_dir_from_env() -> Option<PathBuf> {
-    match std::env::var("HYDRA_INDEX_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir)),
-        _ => None,
-    }
-}
-
-/// Extracts the `--index-dir` value from an argument list: `None` when the
-/// flag is absent, `Some(Err(()))` when it is present without a value.
-fn index_dir_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<String, ()>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--index-dir" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--index-dir=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(if raw.trim().is_empty() {
-            Err(())
-        } else {
-            Ok(raw)
-        });
-    }
-    None
-}
-
-/// Parses `--mode M` (or `--mode=M`) from the process arguments, validates it
-/// through [`AnswerMode::parse`], exports the canonical form via `HYDRA_MODE`,
-/// and returns the mode the run's query workloads use. Without the flag, an
-/// already-set `HYDRA_MODE` is respected; [`AnswerMode::Exact`] when that is
-/// unset too.
-///
-/// A `--mode` flag with a missing or invalid value aborts the process:
-/// silently answering exactly would record results under the wrong mode.
-pub fn init_mode() -> AnswerMode {
-    match mode_from(std::env::args()) {
-        Some(Ok(mode)) => std::env::set_var("HYDRA_MODE", mode.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --mode value {bad:?} (expected exact | ng | eps:<v> | deltaeps:<d>,<e>)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    mode_from_env()
-}
-
-/// The answering mode currently exported through `HYDRA_MODE`
-/// ([`AnswerMode::Exact`] when unset).
-///
-/// A set-but-invalid `HYDRA_MODE` aborts the process, exactly like an
-/// invalid `--mode` flag: silently answering exactly would record results
-/// under the wrong mode.
-pub fn mode_from_env() -> AnswerMode {
-    match std::env::var("HYDRA_MODE") {
-        Ok(raw) if !raw.trim().is_empty() => AnswerMode::parse(&raw).unwrap_or_else(|_| {
-            eprintln!(
-                "error: invalid HYDRA_MODE value {raw:?} (expected exact | ng | eps:<v> | deltaeps:<d>,<e>)"
-            );
-            std::process::exit(2);
-        }),
-        _ => AnswerMode::Exact,
-    }
-}
-
-/// Extracts the `--mode` value from an argument list: `None` when the flag is
-/// absent, `Some(Err(raw))` when it is present but not a valid mode.
-fn mode_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<AnswerMode, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--mode" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--mode=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(AnswerMode::parse(&raw).map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--batch N` (or `--batch=N`) from the process arguments, exports
-/// the value via `HYDRA_BATCH`, and returns the batch size the run's query
-/// workloads use. Without the flag, an already-set `HYDRA_BATCH` is
-/// respected; `0` (per-query execution, no batching) when that is unset too.
-///
-/// A `--batch` flag with a missing or unparseable value aborts the process:
-/// silently running per-query would record benchmark results under the wrong
-/// configuration.
-pub fn init_batch() -> usize {
-    match batch_from(std::env::args()) {
-        Some(Ok(batch)) => std::env::set_var("HYDRA_BATCH", batch.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --batch value {bad:?} (expected a number; 0 = per-query execution)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    batch_from_env()
-}
-
-/// The batch size currently exported through `HYDRA_BATCH` (`0` — per-query
-/// execution — when unset).
-///
-/// A set-but-unparseable `HYDRA_BATCH` falls back to per-query execution with
-/// a warning on stderr, mirroring `Parallelism::from_env`.
-pub fn batch_from_env() -> usize {
-    let Ok(raw) = std::env::var("HYDRA_BATCH") else {
-        return 0;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_BATCH={raw:?}; running per-query \
-                 (expected a number; 0 = per-query execution)"
-            );
-            0
-        }
-    }
-}
-
-/// Extracts the `--batch` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not a number.
-fn batch_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<usize, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--batch" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--batch=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<usize>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--fault-seed N` (or `--fault-seed=N`) from the process arguments,
-/// exports the value via `HYDRA_FAULT_SEED`, and returns it. The seed
-/// deterministically drives the storage layer's [`hydra_storage::FaultPlan`]
-/// in binaries that construct one; `0` (or unset) disables fault injection.
-///
-/// A `--fault-seed` flag with a missing or unparseable value aborts the
-/// process: silently running fault-free would record robustness results under
-/// the wrong configuration.
-pub fn init_fault_seed() -> u64 {
-    match fault_seed_from(std::env::args()) {
-        Some(Ok(seed)) => std::env::set_var("HYDRA_FAULT_SEED", seed.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --fault-seed value {bad:?} (expected a number; 0 = no faults)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    fault_seed_from_env()
-}
-
-/// The fault seed currently exported through `HYDRA_FAULT_SEED` (`0` — no
-/// fault injection — when unset).
-///
-/// A set-but-unparseable `HYDRA_FAULT_SEED` falls back to fault-free with a
-/// warning on stderr, mirroring `batch_from_env`.
-pub fn fault_seed_from_env() -> u64 {
-    let Ok(raw) = std::env::var("HYDRA_FAULT_SEED") else {
-        return 0;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_FAULT_SEED={raw:?}; running fault-free \
-                 (expected a number; 0 = no faults)"
-            );
-            0
-        }
-    }
-}
-
-/// Extracts the `--fault-seed` value from an argument list: `None` when the
-/// flag is absent, `Some(Err(raw))` when it is present but not a number.
-fn fault_seed_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<u64, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--fault-seed" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--fault-seed=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<u64>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--budget B` (or `--budget=B`, with `B` either `inf` or a raw-read
-/// count) from the process arguments, exports the canonical value via
-/// `HYDRA_BUDGET`, and returns the per-query [`Budget`] the run's workloads
-/// attach to their queries. Without the flag, an already-set `HYDRA_BUDGET`
-/// is respected; `None` (unbudgeted, every query runs to completion) when
-/// that is unset too.
-///
-/// A `--budget` flag with a missing or invalid value aborts the process:
-/// silently running unbudgeted would record anytime-answering results under
-/// the wrong configuration.
-pub fn init_budget() -> Option<Budget> {
-    match budget_from(std::env::args()) {
-        Some(Ok(budget)) => std::env::set_var(
-            "HYDRA_BUDGET",
-            budget.map_or("inf".to_string(), |b| b.limit().to_string()),
-        ),
-        Some(Err(bad)) => {
-            eprintln!("error: invalid --budget value {bad:?} (expected `inf` or a raw-read count)");
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    budget_from_env()
-}
-
-/// The per-query budget currently exported through `HYDRA_BUDGET` (`None` —
-/// unbudgeted — when unset or `inf`).
-///
-/// A set-but-invalid `HYDRA_BUDGET` aborts the process, exactly like an
-/// invalid `--budget` flag.
-pub fn budget_from_env() -> Option<Budget> {
-    match std::env::var("HYDRA_BUDGET") {
-        Ok(raw) if !raw.trim().is_empty() => Budget::parse(&raw).unwrap_or_else(|_| {
-            eprintln!(
-                "error: invalid HYDRA_BUDGET value {raw:?} (expected `inf` or a raw-read count)"
-            );
-            std::process::exit(2);
-        }),
-        _ => None,
-    }
-}
-
-/// Extracts the `--budget` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not `inf`/a number.
-fn budget_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<Option<Budget>, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--budget" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--budget=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(Budget::parse(&raw).map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--shards N` (or `--shards=N`) from the process arguments, exports
-/// the value via `HYDRA_SHARDS`, and returns the serving layer's shard count.
-/// Without the flag, an already-set `HYDRA_SHARDS` is respected; `1` (a
-/// single unsharded engine) when that is unset too.
-///
-/// A `--shards` flag with a missing, unparseable or zero value aborts the
-/// process: silently serving unsharded would record results under the wrong
-/// configuration.
-pub fn init_shards() -> usize {
-    match shards_from(std::env::args()) {
-        Some(Ok(shards)) => std::env::set_var("HYDRA_SHARDS", shards.to_string()),
-        Some(Err(bad)) => {
-            eprintln!("error: invalid --shards value {bad:?} (expected a shard count >= 1)");
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    shards_from_env()
-}
-
-/// The shard count currently exported through `HYDRA_SHARDS` (`1` — a single
-/// unsharded engine — when unset).
-///
-/// A set-but-invalid `HYDRA_SHARDS` falls back to unsharded with a warning on
-/// stderr, mirroring `batch_from_env`.
-pub fn shards_from_env() -> usize {
-    let Ok(raw) = std::env::var("HYDRA_SHARDS") else {
-        return 1;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!(
-                "warning: ignoring invalid HYDRA_SHARDS={raw:?}; serving unsharded \
-                 (expected a shard count >= 1)"
-            );
-            1
-        }
-    }
-}
-
-/// Extracts the `--shards` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but not a count ≥ 1.
-fn shards_from(args: impl Iterator<Item = String>) -> Option<std::result::Result<usize, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--shards" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--shards=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(raw),
-        });
-    }
-    None
-}
-
-/// Parses `--deadline-ms D` (or `--deadline-ms=D`) from the process
-/// arguments, exports the value via `HYDRA_DEADLINE_MS`, and returns the
-/// serving layer's per-request deadline (`None` — no deadline — for `0`).
-/// Without the flag, an already-set `HYDRA_DEADLINE_MS` is respected; `None`
-/// when that is unset too.
-///
-/// A `--deadline-ms` flag with a missing or unparseable value aborts the
-/// process: silently serving without deadlines would record results under
-/// the wrong configuration.
-pub fn init_deadline_ms() -> Option<u64> {
-    match deadline_ms_from(std::env::args()) {
-        Some(Ok(ms)) => std::env::set_var("HYDRA_DEADLINE_MS", ms.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --deadline-ms value {bad:?} (expected milliseconds; 0 = none)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    deadline_ms_from_env()
-}
-
-/// The deadline currently exported through `HYDRA_DEADLINE_MS` (`None` — no
-/// deadline — when unset or `0`).
-///
-/// A set-but-unparseable `HYDRA_DEADLINE_MS` falls back to no deadline with a
-/// warning on stderr, mirroring `batch_from_env`.
-pub fn deadline_ms_from_env() -> Option<u64> {
-    let Ok(raw) = std::env::var("HYDRA_DEADLINE_MS") else {
-        return None;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(0) => None,
-        Ok(ms) => Some(ms),
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_DEADLINE_MS={raw:?}; serving without \
-                 deadlines (expected milliseconds; 0 = none)"
-            );
-            None
-        }
-    }
-}
-
-/// Extracts the `--deadline-ms` value from an argument list: `None` when the
-/// flag is absent, `Some(Err(raw))` when it is present but not a number.
-fn deadline_ms_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<u64, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--deadline-ms" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--deadline-ms=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<u64>().map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--quorum Q` (or `--quorum=Q`, with `Q` one of `all`,
-/// `best-effort`, or a shard count) from the process arguments, exports the
-/// canonical form via `HYDRA_QUORUM`, and returns the serving layer's quorum
-/// policy. Without the flag, an already-set `HYDRA_QUORUM` is respected;
-/// [`QuorumPolicy::AllShards`] (the strict pre-resilience behaviour) when
-/// that is unset too.
-///
-/// A `--quorum` flag with a missing or invalid value aborts the process:
-/// silently serving strict would record availability results under the wrong
-/// configuration.
-pub fn init_quorum() -> QuorumPolicy {
-    match quorum_from(std::env::args()) {
-        Some(Ok(policy)) => std::env::set_var("HYDRA_QUORUM", policy.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --quorum value {bad:?} (expected `all`, `best-effort`, or a shard count >= 1)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    quorum_from_env()
-}
-
-/// The quorum policy currently exported through `HYDRA_QUORUM`
-/// ([`QuorumPolicy::AllShards`] when unset).
-///
-/// A set-but-invalid `HYDRA_QUORUM` falls back to strict quorum with a
-/// warning on stderr, mirroring `batch_from_env`.
-pub fn quorum_from_env() -> QuorumPolicy {
-    let Ok(raw) = std::env::var("HYDRA_QUORUM") else {
-        return QuorumPolicy::AllShards;
-    };
-    match QuorumPolicy::parse(raw.trim()) {
-        Ok(policy) => policy,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring invalid HYDRA_QUORUM={raw:?}; serving strict \
-                 (expected `all`, `best-effort`, or a shard count >= 1)"
-            );
-            QuorumPolicy::AllShards
-        }
-    }
-}
-
-/// Extracts the `--quorum` value from an argument list: `None` when the flag
-/// is absent, `Some(Err(raw))` when it is present but invalid.
-fn quorum_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<QuorumPolicy, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--quorum" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--quorum=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(QuorumPolicy::parse(raw.trim()).map_err(|_| raw));
-    }
-    None
-}
-
-/// Parses `--shard-fault-seed N` (or `--shard-fault-seed=N`) from the
-/// process arguments, exports the value via `HYDRA_SHARD_FAULT_SEED`, and
-/// returns it. The seed drives the serving layer's per-shard fault domains
-/// (each shard derives an independent stream via
-/// [`hydra_storage::FaultPlan::for_shard`]); `0` (or unset) serves
-/// fault-free, and the same seed reproduces the same degraded run.
-///
-/// A `--shard-fault-seed` flag with a missing or unparseable value aborts
-/// the process: silently serving fault-free would record resilience results
-/// under the wrong configuration.
-pub fn init_shard_fault_seed() -> u64 {
-    match shard_fault_seed_from(std::env::args()) {
-        Some(Ok(seed)) => std::env::set_var("HYDRA_SHARD_FAULT_SEED", seed.to_string()),
-        Some(Err(bad)) => {
-            eprintln!(
-                "error: invalid --shard-fault-seed value {bad:?} (expected a number; 0 = no faults)"
-            );
-            std::process::exit(2);
-        }
-        None => {}
-    }
-    shard_fault_seed_from_env()
-}
-
-/// The shard-fault seed currently exported through `HYDRA_SHARD_FAULT_SEED`
-/// (`0` — fault-free serving — when unset).
-///
-/// A set-but-unparseable `HYDRA_SHARD_FAULT_SEED` falls back to fault-free
-/// with a warning on stderr, mirroring `fault_seed_from_env`.
-pub fn shard_fault_seed_from_env() -> u64 {
-    let Ok(raw) = std::env::var("HYDRA_SHARD_FAULT_SEED") else {
-        return 0;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!(
-                "warning: ignoring unparseable HYDRA_SHARD_FAULT_SEED={raw:?}; serving \
-                 fault-free (expected a number; 0 = no faults)"
-            );
-            0
-        }
-    }
-}
-
-/// Extracts the `--shard-fault-seed` value from an argument list: `None`
-/// when the flag is absent, `Some(Err(raw))` when it is present but not a
-/// number.
-fn shard_fault_seed_from(
-    args: impl Iterator<Item = String>,
-) -> Option<std::result::Result<u64, String>> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let raw = if arg == "--shard-fault-seed" {
-            args.peek().cloned().unwrap_or_default()
-        } else if let Some(value) = arg.strip_prefix("--shard-fault-seed=") {
-            value.to_string()
-        } else {
-            continue;
-        };
-        return Some(raw.trim().parse::<u64>().map_err(|_| raw));
-    }
-    None
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> impl Iterator<Item = String> {
-        args.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    /// One parse case: the setting it exercises, the arguments, the
+    /// environment, and the expected configuration or the source of the
+    /// expected error.
+    type Case = (
+        &'static str,
+        &'static [&'static str],
+        &'static [(&'static str, &'static str)],
+        Result<RunConfig, &'static str>,
+    );
+
+    fn with(f: impl FnOnce(&mut RunConfig)) -> Result<RunConfig, &'static str> {
+        let mut config = RunConfig::default();
+        f(&mut config);
+        Ok(config)
     }
 
-    #[test]
-    fn parses_shards_forms() {
-        assert_eq!(shards_from(argv(&["bin", "--shards", "4"])), Some(Ok(4)));
-        assert_eq!(shards_from(argv(&["bin", "--shards=2"])), Some(Ok(2)));
-        assert_eq!(shards_from(argv(&["bin"])), None);
-        assert_eq!(
-            shards_from(argv(&["bin", "--shards", "0"])),
-            Some(Err("0".into())),
-            "zero shards is invalid"
-        );
-        assert_eq!(
-            shards_from(argv(&["bin", "--shards", "many"])),
-            Some(Err("many".into()))
-        );
-        assert_eq!(
-            shards_from(argv(&["bin", "--shards"])),
-            Some(Err("".into()))
-        );
+    #[rustfmt::skip]
+    fn cases() -> Vec<Case> {
+        let deltaeps = AnswerMode::DeltaEpsilon {
+            delta: 0.9,
+            epsilon: 0.25,
+        };
+        vec![
+            // Unset falls back to the default.
+            ("all", &[], &[], Ok(RunConfig::default())),
+            ("all", &["--verbose", "x"], &[("HYDRA_MODE", " ")], Ok(RunConfig::default())),
+            // `--x v` and `--x=v`; a flag beats the environment.
+            ("threads", &["--threads", "4"], &[], with(|c| c.threads = Parallelism::Threads(4))),
+            ("threads", &["--threads=8"], &[], with(|c| c.threads = Parallelism::Threads(8))),
+            ("threads", &["--threads", "0"], &[], with(|c| c.threads = Parallelism::Auto)),
+            ("threads", &["--threads=1"], &[("HYDRA_THREADS", "4")], Ok(RunConfig::default())),
+            ("threads", &[], &[("HYDRA_THREADS", "4")], with(|c| c.threads = Parallelism::Threads(4))),
+            ("threads", &["--threads"], &[], Err("--threads")),
+            ("threads", &["--threads", "lots"], &[], Err("--threads")),
+            ("threads", &["--threads="], &[], Err("--threads")),
+            ("threads", &[], &[("HYDRA_THREADS", "lots")], Err("HYDRA_THREADS")),
+            ("index-dir", &["--index-dir", "snapshots"], &[], with(|c| c.index_dir = Some("snapshots".into()))),
+            ("index-dir", &["--index-dir=/tmp/idx"], &[("HYDRA_INDEX_DIR", "env")], with(|c| c.index_dir = Some("/tmp/idx".into()))),
+            ("index-dir", &[], &[("HYDRA_INDEX_DIR", "env")], with(|c| c.index_dir = Some("env".into()))),
+            ("index-dir", &["--index-dir"], &[], Err("--index-dir")),
+            ("index-dir", &["--index-dir="], &[], Err("--index-dir")),
+            ("mode", &["--mode", "ng"], &[], with(|c| c.mode = AnswerMode::NgApproximate)),
+            ("mode", &["--mode=eps:0.1"], &[], with(|c| c.mode = AnswerMode::EpsilonApproximate { epsilon: 0.1 })),
+            ("mode", &["--mode", "deltaeps:0.9,0.25"], &[], with(|c| c.mode = deltaeps)),
+            ("mode", &[], &[("HYDRA_MODE", "ng")], with(|c| c.mode = AnswerMode::NgApproximate)),
+            ("mode", &["--mode", "sloppy"], &[], Err("--mode")),
+            ("mode", &["--mode", "eps:-1"], &[], Err("--mode")),
+            ("mode", &["--mode"], &[], Err("--mode")),
+            ("mode", &[], &[("HYDRA_MODE", "sloppy")], Err("HYDRA_MODE")),
+            ("batch", &["--batch", "64"], &[], with(|c| c.batch = 64)),
+            ("batch", &["--batch=8"], &[("HYDRA_BATCH", "2")], with(|c| c.batch = 8)),
+            ("batch", &["--batch", "0"], &[], Ok(RunConfig::default())),
+            ("batch", &["--batch"], &[], Err("--batch")),
+            ("batch", &["--batch", "many"], &[], Err("--batch")),
+            ("fault-seed", &["--fault-seed", "42"], &[], with(|c| c.fault_seed = 42)),
+            ("fault-seed", &["--fault-seed=7"], &[], with(|c| c.fault_seed = 7)),
+            ("fault-seed", &[], &[("HYDRA_FAULT_SEED", "9")], with(|c| c.fault_seed = 9)),
+            ("fault-seed", &["--fault-seed", "chaos"], &[], Err("--fault-seed")),
+            ("fault-seed", &["--fault-seed"], &[], Err("--fault-seed")),
+            ("budget", &["--budget", "500"], &[], with(|c| c.budget = Some(Budget::raw_reads(500)))),
+            ("budget", &["--budget=inf"], &[("HYDRA_BUDGET", "5")], Ok(RunConfig::default())),
+            ("budget", &["--budget", "soon"], &[], Err("--budget")),
+            ("budget", &["--budget"], &[], Err("--budget")),
+            ("shards", &["--shards", "4"], &[], with(|c| c.shards = Some(4))),
+            ("shards", &["--shards=2"], &[], with(|c| c.shards = Some(2))),
+            ("shards", &["--shards", "0"], &[], Err("--shards")),
+            ("shards", &["--shards", "many"], &[], Err("--shards")),
+            ("shards", &["--shards"], &[], Err("--shards")),
+            ("shards", &[], &[("HYDRA_SHARDS", "0")], Err("HYDRA_SHARDS")),
+            ("deadline-ms", &["--deadline-ms", "250"], &[], with(|c| c.deadline_ms = Some(250))),
+            ("deadline-ms", &["--deadline-ms=0"], &[], with(|c| c.deadline_ms = Some(0))),
+            ("deadline-ms", &["--deadline-ms", "soon"], &[], Err("--deadline-ms")),
+            ("deadline-ms", &["--deadline-ms"], &[], Err("--deadline-ms")),
+            ("quorum", &["--quorum", "all"], &[], with(|c| c.quorum = Some(QuorumPolicy::AllShards))),
+            ("quorum", &["--quorum=best-effort"], &[], with(|c| c.quorum = Some(QuorumPolicy::BestEffort))),
+            ("quorum", &["--quorum", "2"], &[], with(|c| c.quorum = Some(QuorumPolicy::AtLeast(2)))),
+            ("quorum", &["--quorum", "0"], &[], Err("--quorum")),
+            ("quorum", &["--quorum", "most"], &[], Err("--quorum")),
+            ("quorum", &["--quorum"], &[], Err("--quorum")),
+            ("shard-fault-seed", &["--shard-fault-seed", "42"], &[], with(|c| c.shard_fault_seed = Some(42))),
+            ("shard-fault-seed", &["--shard-fault-seed=7"], &[], with(|c| c.shard_fault_seed = Some(7))),
+            ("shard-fault-seed", &["--shard-fault-seed", "chaos"], &[], Err("--shard-fault-seed")),
+            ("shard-fault-seed", &["--shard-fault-seed"], &[], Err("--shard-fault-seed")),
+            ("all", &[], &[("HYDRA_SCALE", "smoke")], with(|c| c.scale = ExperimentScale::smoke())),
+            ("all", &[], &[("HYDRA_SCALE", "huge")], Err("HYDRA_SCALE")),
+        ]
     }
 
-    #[test]
-    fn parses_deadline_ms_forms() {
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms", "250"])),
-            Some(Ok(250))
-        );
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms=0"])),
-            Some(Ok(0)),
-            "0 is valid and means no deadline"
-        );
-        assert_eq!(deadline_ms_from(argv(&["bin"])), None);
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms", "soon"])),
-            Some(Err("soon".into()))
-        );
-        assert_eq!(
-            deadline_ms_from(argv(&["bin", "--deadline-ms"])),
-            Some(Err("".into()))
-        );
-    }
-
-    #[test]
-    fn parses_quorum_forms() {
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "all"])),
-            Some(Ok(QuorumPolicy::AllShards))
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum=best-effort"])),
-            Some(Ok(QuorumPolicy::BestEffort))
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "2"])),
-            Some(Ok(QuorumPolicy::AtLeast(2)))
-        );
-        assert_eq!(quorum_from(argv(&["bin"])), None);
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "0"])),
-            Some(Err("0".into())),
-            "zero-shard quorum is invalid"
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum", "most"])),
-            Some(Err("most".into()))
-        );
-        assert_eq!(
-            quorum_from(argv(&["bin", "--quorum"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_shard_fault_seed_forms() {
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed", "42"])),
-            Some(Ok(42))
-        );
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed=7"])),
-            Some(Ok(7))
-        );
-        assert_eq!(shard_fault_seed_from(argv(&["bin"])), None);
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed", "chaos"])),
-            Some(Err("chaos".into()))
-        );
-        assert_eq!(
-            shard_fault_seed_from(argv(&["bin", "--shard-fault-seed"])),
-            Some(Err(String::new()))
-        );
+    /// Runs the cases of `setting` (every case for `"all"`).
+    fn check(setting: &str) {
+        for (name, args, env, expected) in cases() {
+            if setting != "all" && setting != name {
+                continue;
+            }
+            let args: Vec<String> = std::iter::once("bin")
+                .chain(args.iter().copied())
+                .map(String::from)
+                .collect();
+            let lookup = |key: &str| {
+                env.iter()
+                    .find(|(k, _)| *k == key)
+                    .map(|(_, v)| v.to_string())
+            };
+            let parsed = RunConfig::parse(&args, lookup).map_err(|e| {
+                assert!(e.to_string().contains(e.expected), "{e}");
+                e.source
+            });
+            assert_eq!(parsed, expected.map_err(String::from), "{args:?} {env:?}");
+        }
     }
 
     #[test]
     fn parses_separate_and_joined_forms() {
-        assert_eq!(threads_from(argv(&["bin", "--threads", "4"])), Some(Ok(4)));
-        assert_eq!(threads_from(argv(&["bin", "--threads=8"])), Some(Ok(8)));
-        assert_eq!(threads_from(argv(&["bin", "--threads", "0"])), Some(Ok(0)));
-        assert_eq!(threads_from(argv(&["bin"])), None);
-    }
-
-    #[test]
-    fn parses_index_dir_forms() {
-        assert_eq!(
-            index_dir_from(argv(&["bin", "--index-dir", "snapshots"])),
-            Some(Ok("snapshots".into()))
-        );
-        assert_eq!(
-            index_dir_from(argv(&["bin", "--index-dir=/tmp/idx"])),
-            Some(Ok("/tmp/idx".into()))
-        );
-        assert_eq!(index_dir_from(argv(&["bin"])), None);
-        assert_eq!(index_dir_from(argv(&["bin", "--index-dir"])), Some(Err(())));
-        assert_eq!(
-            index_dir_from(argv(&["bin", "--index-dir="])),
-            Some(Err(()))
-        );
-    }
-
-    #[test]
-    fn parses_mode_forms() {
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "ng"])),
-            Some(Ok(AnswerMode::NgApproximate))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode=eps:0.1"])),
-            Some(Ok(AnswerMode::EpsilonApproximate { epsilon: 0.1 }))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "deltaeps:0.9,0.25"])),
-            Some(Ok(AnswerMode::DeltaEpsilon {
-                delta: 0.9,
-                epsilon: 0.25
-            }))
-        );
-        assert_eq!(mode_from(argv(&["bin"])), None);
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "sloppy"])),
-            Some(Err("sloppy".into()))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode", "eps:-1"])),
-            Some(Err("eps:-1".into()))
-        );
-        assert_eq!(
-            mode_from(argv(&["bin", "--mode"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_batch_forms() {
-        assert_eq!(batch_from(argv(&["bin", "--batch", "64"])), Some(Ok(64)));
-        assert_eq!(batch_from(argv(&["bin", "--batch=8"])), Some(Ok(8)));
-        assert_eq!(batch_from(argv(&["bin", "--batch", "0"])), Some(Ok(0)));
-        assert_eq!(batch_from(argv(&["bin"])), None);
-        assert_eq!(
-            batch_from(argv(&["bin", "--batch"])),
-            Some(Err(String::new()))
-        );
-        assert_eq!(
-            batch_from(argv(&["bin", "--batch", "many"])),
-            Some(Err("many".into()))
-        );
-    }
-
-    #[test]
-    fn parses_fault_seed_forms() {
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed", "42"])),
-            Some(Ok(42))
-        );
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed=7"])),
-            Some(Ok(7))
-        );
-        assert_eq!(fault_seed_from(argv(&["bin"])), None);
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed", "chaos"])),
-            Some(Err("chaos".into()))
-        );
-        assert_eq!(
-            fault_seed_from(argv(&["bin", "--fault-seed"])),
-            Some(Err(String::new()))
-        );
-    }
-
-    #[test]
-    fn parses_budget_forms() {
-        assert_eq!(
-            budget_from(argv(&["bin", "--budget", "500"])),
-            Some(Ok(Some(Budget::raw_reads(500))))
-        );
-        assert_eq!(budget_from(argv(&["bin", "--budget=inf"])), Some(Ok(None)));
-        assert_eq!(budget_from(argv(&["bin"])), None);
-        assert_eq!(
-            budget_from(argv(&["bin", "--budget", "soon"])),
-            Some(Err("soon".into()))
-        );
-        assert_eq!(
-            budget_from(argv(&["bin", "--budget"])),
-            Some(Err(String::new()))
-        );
+        check("all");
     }
 
     #[test]
     fn missing_or_malformed_values_are_reported_not_ignored() {
-        assert_eq!(
-            threads_from(argv(&["bin", "--threads"])),
-            Some(Err(String::new()))
-        );
-        assert_eq!(
-            threads_from(argv(&["bin", "--threads", "lots"])),
-            Some(Err("lots".into()))
-        );
-        assert_eq!(
-            threads_from(argv(&["bin", "--threads="])),
-            Some(Err(String::new()))
-        );
+        check("threads");
+    }
+
+    #[test]
+    fn parses_index_dir_forms() {
+        check("index-dir");
+    }
+
+    #[test]
+    fn parses_mode_forms() {
+        check("mode");
+    }
+
+    #[test]
+    fn parses_batch_forms() {
+        check("batch");
+    }
+
+    #[test]
+    fn parses_fault_seed_forms() {
+        check("fault-seed");
+    }
+
+    #[test]
+    fn parses_budget_forms() {
+        check("budget");
+    }
+
+    #[test]
+    fn parses_shards_forms() {
+        check("shards");
+    }
+
+    #[test]
+    fn parses_deadline_ms_forms() {
+        check("deadline-ms");
+    }
+
+    #[test]
+    fn parses_quorum_forms() {
+        check("quorum");
+    }
+
+    #[test]
+    fn parses_shard_fault_seed_forms() {
+        check("shard-fault-seed");
     }
 }

@@ -5,10 +5,10 @@
 //! registry; the harness only adds workload iteration, extrapolation and the
 //! platform cost models on top.
 
+use crate::cli::RunConfig;
 use crate::registry::{MethodKind, SnapshotOutcome};
 use hydra_core::{
-    AnswerMode, BuildOptions, Dataset, IoSnapshot, Parallelism, Query, QueryEngine, QueryStats,
-    Result, RetryPolicy,
+    BuildOptions, Dataset, IoSnapshot, Query, QueryEngine, QueryStats, Result, RetryPolicy,
 };
 use hydra_data::QueryWorkload;
 use hydra_storage::{CostModel, DatasetStore, FaultConfig, FaultPlan, StorageProfile};
@@ -126,12 +126,8 @@ impl WorkloadMeasurement {
     /// Summed I/O counters across the workload.
     pub fn total_io(&self) -> IoSnapshot {
         let mut io = IoSnapshot::default();
-        // Query-side writes are never charged (bytes_written stays zero).
         for q in &self.queries {
-            let q_io = q.io();
-            io.sequential_pages += q_io.sequential_pages;
-            io.random_pages += q_io.random_pages;
-            io.bytes_read += q_io.bytes_read;
+            io += q.io();
         }
         io
     }
@@ -191,36 +187,37 @@ impl WorkloadMeasurement {
 /// Builds a method over `dataset` through the registry, returning the
 /// measuring engine plus the build measurement.
 ///
-/// When an index snapshot directory is configured (`HYDRA_INDEX_DIR`, set by
-/// the binaries' `--index-dir` flag), index methods load a valid snapshot
-/// instead of rebuilding — keyed on the dataset fingerprint and the tuned
-/// build options — and save one after a fresh build, so repeated sweeps pay
-/// the construction cost once.
+/// With `config.index_dir` set (`--index-dir`), index methods load a valid
+/// snapshot instead of rebuilding — keyed on the dataset fingerprint and the
+/// tuned build options — and save one after a fresh build, so repeated
+/// sweeps pay the construction cost once.
 ///
-/// When a fault seed is configured (`HYDRA_FAULT_SEED`, set by the binaries'
-/// `--fault-seed` flag; 0 disables), the store is built with a seeded
-/// [`FaultPlan`] at [`FaultConfig::standard`] rates and the engine gets a
-/// default retry policy that outlasts every planned transient, so any
-/// experiment binary runs under chaos without code changes.
+/// With a nonzero `config.fault_seed` (`--fault-seed`), the store is built
+/// with a seeded [`FaultPlan`] at [`FaultConfig::standard`] rates and the
+/// engine gets a default retry policy that outlasts every planned transient,
+/// so any experiment binary runs under chaos without code changes.
 pub fn run_build(
     kind: MethodKind,
     dataset: &Dataset,
     options: &BuildOptions,
+    config: &RunConfig,
 ) -> Result<(QueryEngine, BuildMeasurement)> {
-    let store = Arc::new(fault_planned_store(dataset));
-    let chaos = store.fault_plan().is_active();
-    let (engine, snapshot) = match crate::cli::index_dir_from_env() {
-        Some(dir) => kind.engine_with_snapshot(store, options, &dir)?,
+    let mut store = DatasetStore::new(dataset.clone());
+    let mut retry = RetryPolicy::none();
+    if config.fault_seed != 0 {
+        let plan = FaultPlan::seeded(config.fault_seed, FaultConfig::standard());
+        store = store.with_fault_plan(plan);
+        retry = RetryPolicy::new(4, 2);
+    }
+    let store = Arc::new(store);
+    let (engine, snapshot) = match &config.index_dir {
+        Some(dir) => kind.engine_with_snapshot(store, options, dir)?,
         None => (
             kind.engine_on_store(store, options)?,
             SnapshotOutcome::Unsupported,
         ),
     };
-    let engine = if chaos {
-        engine.with_retry_policy(RetryPolicy::new(4, 2))
-    } else {
-        engine
-    };
+    let engine = engine.with_retry_policy(retry);
     let measurement = BuildMeasurement {
         kind,
         cpu_time: engine.build_time(),
@@ -231,115 +228,46 @@ pub fn run_build(
     Ok((engine, measurement))
 }
 
-/// A store over `dataset`, fault-planned when `HYDRA_FAULT_SEED` is set to a
-/// nonzero seed (see [`run_build`]).
-fn fault_planned_store(dataset: &Dataset) -> DatasetStore {
-    let store = DatasetStore::new(dataset.clone());
-    match crate::cli::fault_seed_from_env() {
-        0 => store,
-        seed => store.with_fault_plan(FaultPlan::seeded(seed, FaultConfig::standard())),
-    }
-}
-
-/// Runs a 1-NN query workload through an engine, measuring each query.
+/// Runs a 1-NN query workload through an engine under `config`'s thread
+/// count, answering mode, per-query budget and batch size, measuring each
+/// query.
 ///
-/// The worker-thread count comes from the environment (`HYDRA_THREADS`, set
-/// by the binaries' `--threads` flag; serial when unset), so does the
-/// answering mode (`HYDRA_MODE`, set by `--mode`; exact when unset), and so
-/// does the query-batch size (`HYDRA_BATCH`, set by `--batch`; per-query when
-/// unset) — every existing experiment runs parallel, mode-aware and batched
-/// without code changes. See [`run_queries_with_batch`] for the measurement
-/// rules.
-pub fn run_queries(
-    engine: &mut QueryEngine,
-    workload: &QueryWorkload,
-) -> Result<WorkloadMeasurement> {
-    run_queries_with_batch(
-        engine,
-        workload,
-        Parallelism::from_env(),
-        crate::cli::mode_from_env(),
-        crate::cli::batch_from_env(),
-    )
-}
-
-/// Runs a 1-NN query workload through an engine with an explicit thread
-/// count in exact mode, measuring each query (see
-/// [`run_queries_with_mode`]).
-pub fn run_queries_with(
-    engine: &mut QueryEngine,
-    workload: &QueryWorkload,
-    parallelism: Parallelism,
-) -> Result<WorkloadMeasurement> {
-    run_queries_with_mode(engine, workload, parallelism, AnswerMode::Exact)
-}
-
-/// Runs a 1-NN query workload through an engine with an explicit thread
-/// count and answering mode, measuring each query.
-///
-/// The engine resets each worker's counter shard before each query and
-/// reconciles store-side traffic with the stats the method recorded itself,
-/// so the measurement here is a straight read-out, and per-query work
-/// counters are identical for every `parallelism` (only wall-clock `cpu_time`
-/// varies with scheduling). The method kind is recovered from the engine's
-/// descriptor, so it cannot drift from the engine the caller passes. A mode
-/// outside the method's capabilities is a typed `UnsupportedMode` error
-/// (the engine's strict fallback policy), never a silent exact run.
-pub fn run_queries_with_mode(
-    engine: &mut QueryEngine,
-    workload: &QueryWorkload,
-    parallelism: Parallelism,
-    mode: AnswerMode,
-) -> Result<WorkloadMeasurement> {
-    run_queries_with_batch(engine, workload, parallelism, mode, 0)
-}
-
-/// Runs a 1-NN query workload through an engine with an explicit thread
-/// count, answering mode and query-batch size, measuring each query.
-///
-/// With `batch == 0` the workload runs through the per-query
+/// With `config.batch == 0` the workload runs through the per-query
 /// `answer_workload` driver; with `batch == N > 0` it runs through
 /// `QueryEngine::answer_batch` in chunks of `N` queries, so methods with a
 /// native batch kernel amortize one data pass per chunk. Either way the
 /// engine guarantees answers and per-query work counters identical to the
-/// serial per-query loop for every `parallelism` and batch size (only
+/// serial per-query loop for every thread count and batch size (only
 /// wall-clock `cpu_time` varies — batched runs report the amortized
 /// per-query share). The method kind is recovered from the engine's
 /// descriptor, so it cannot drift from the engine the caller passes. A mode
 /// outside the method's capabilities is a typed `UnsupportedMode` error
 /// (the engine's strict fallback policy), never a silent exact run.
-///
-/// Every query additionally carries the environment's answering budget
-/// (`HYDRA_BUDGET`, set by the binaries' `--budget` flag; unlimited when
-/// unset), so deadline-bounded anytime runs need no code changes either.
-pub fn run_queries_with_batch(
+pub fn run_queries(
     engine: &mut QueryEngine,
     workload: &QueryWorkload,
-    parallelism: Parallelism,
-    mode: AnswerMode,
-    batch: usize,
+    config: &RunConfig,
 ) -> Result<WorkloadMeasurement> {
     let name = engine.descriptor().name;
     let kind = MethodKind::from_name(name).ok_or_else(|| {
         hydra_core::Error::invalid_parameter("engine", format!("unknown method {name:?}"))
     })?;
     let dataset_size = engine.dataset_size();
-    let budget = crate::cli::budget_from_env();
     let query_list: Vec<Query> = workload
         .queries()
         .iter()
         .map(|series| {
             Ok(Query::nearest_neighbor(series.clone())
-                .try_with_mode(mode)?
-                .with_budget(budget))
+                .try_with_mode(config.mode)?
+                .with_budget(config.budget))
         })
         .collect::<Result<_>>()?;
-    let answered = if batch == 0 {
-        engine.answer_workload(&query_list, parallelism)?
+    let answered = if config.batch == 0 {
+        engine.answer_workload(&query_list, config.threads)?
     } else {
         let mut all = Vec::with_capacity(query_list.len());
-        for chunk in query_list.chunks(batch) {
-            all.extend(engine.answer_batch(chunk, parallelism)?);
+        for chunk in query_list.chunks(config.batch) {
+            all.extend(engine.answer_batch(chunk, config.threads)?);
         }
         all
     };
@@ -360,7 +288,21 @@ pub fn run_queries_with_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_core::{AnswerMode, Parallelism};
     use hydra_data::{RandomWalkGenerator, WorkloadSpec};
+
+    /// The configuration these tests inherit from the environment (CI runs
+    /// them under `HYDRA_THREADS=4`).
+    fn env() -> RunConfig {
+        RunConfig::from_env()
+    }
+
+    /// A configuration with `f` applied to the defaults.
+    fn with(f: impl FnOnce(&mut RunConfig)) -> RunConfig {
+        let mut config = RunConfig::default();
+        f(&mut config);
+        config
+    }
 
     fn small_setup() -> (Dataset, QueryWorkload, BuildOptions) {
         let data = RandomWalkGenerator::new(3, 64).dataset(200);
@@ -378,11 +320,11 @@ mod tests {
     #[test]
     fn build_and_query_measurements_are_populated() {
         let (data, workload, options) = small_setup();
-        let (mut engine, build) = run_build(MethodKind::DsTree, &data, &options).unwrap();
+        let (mut engine, build) = run_build(MethodKind::DsTree, &data, &options, &env()).unwrap();
         assert!(build.cpu_time > Duration::ZERO);
         assert!(build.io.bytes_written > 0, "index construction must write");
         assert!(build.footprint.is_some());
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let run = run_queries(&mut engine, &workload, &env()).unwrap();
         assert_eq!(run.kind, MethodKind::DsTree);
         assert_eq!(run.queries.len(), 12);
         assert!(run.total_time(Platform::Hdd) >= run.cpu_time());
@@ -397,8 +339,8 @@ mod tests {
     #[test]
     fn scan_has_zero_pruning_and_finite_times() {
         let (data, workload, options) = small_setup();
-        let (mut engine, _) = run_build(MethodKind::UcrSuite, &data, &options).unwrap();
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let (mut engine, _) = run_build(MethodKind::UcrSuite, &data, &options, &env()).unwrap();
+        let run = run_queries(&mut engine, &workload, &env()).unwrap();
         assert_eq!(run.mean_pruning_ratio(), 0.0);
         let t10k = run.extrapolated_time(Platform::Hdd, 10_000);
         let t100 = run.total_time(Platform::Hdd);
@@ -408,8 +350,8 @@ mod tests {
     #[test]
     fn platform_models_order_io_costs_sensibly() {
         let (data, workload, options) = small_setup();
-        let (mut engine, _) = run_build(MethodKind::AdsPlus, &data, &options).unwrap();
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let (mut engine, _) = run_build(MethodKind::AdsPlus, &data, &options, &env()).unwrap();
+        let run = run_queries(&mut engine, &workload, &env()).unwrap();
         // ADS+ is seek-heavy: the HDD I/O model must charge it more than SSD.
         assert!(run.io_time(Platform::Hdd) >= run.io_time(Platform::Ssd));
         assert_eq!(Platform::Hdd.name(), "HDD");
@@ -419,11 +361,12 @@ mod tests {
     #[test]
     fn parallel_workload_run_matches_serial_counters() {
         let (data, workload, options) = small_setup();
-        let (mut serial_engine, _) = run_build(MethodKind::Isax2Plus, &data, &options).unwrap();
-        let serial = run_queries_with(&mut serial_engine, &workload, Parallelism::Serial).unwrap();
+        let (mut serial_engine, _) =
+            run_build(MethodKind::Isax2Plus, &data, &options, &env()).unwrap();
+        let serial = run_queries(&mut serial_engine, &workload, &RunConfig::default()).unwrap();
         serial_engine.reset_totals();
-        let parallel =
-            run_queries_with(&mut serial_engine, &workload, Parallelism::Threads(4)).unwrap();
+        let threaded = with(|c| c.threads = Parallelism::Threads(4));
+        let parallel = run_queries(&mut serial_engine, &workload, &threaded).unwrap();
         assert_eq!(parallel.queries.len(), serial.queries.len());
         for (s, p) in serial.queries.iter().zip(&parallel.queries) {
             assert_eq!(s.stats.raw_series_examined, p.stats.raw_series_examined);
@@ -438,19 +381,12 @@ mod tests {
     fn batched_runs_match_per_query_runs() {
         let (data, workload, options) = small_setup();
         for kind in [MethodKind::UcrSuite, MethodKind::VaPlusFile] {
-            let (mut engine, _) = run_build(kind, &data, &options).unwrap();
-            let per_query = run_queries_with(&mut engine, &workload, Parallelism::Serial).unwrap();
+            let (mut engine, _) = run_build(kind, &data, &options, &env()).unwrap();
+            let per_query = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
             engine.reset_totals();
             // A batch size that does not divide the workload exercises the
             // remainder chunk too.
-            let batched = run_queries_with_batch(
-                &mut engine,
-                &workload,
-                Parallelism::Serial,
-                AnswerMode::Exact,
-                5,
-            )
-            .unwrap();
+            let batched = run_queries(&mut engine, &workload, &with(|c| c.batch = 5)).unwrap();
             assert_eq!(batched.queries.len(), per_query.queries.len());
             for (a, b) in per_query.queries.iter().zip(&batched.queries) {
                 assert_eq!(
@@ -469,15 +405,10 @@ mod tests {
     fn mode_aware_runs_route_through_the_engine() {
         let (data, workload, options) = small_setup();
         // A capable index answers ng-approximate with far less work.
-        let (mut engine, _) = run_build(MethodKind::DsTree, &data, &options).unwrap();
-        let exact = run_queries_with(&mut engine, &workload, Parallelism::Serial).unwrap();
-        let ng = run_queries_with_mode(
-            &mut engine,
-            &workload,
-            Parallelism::Serial,
-            AnswerMode::NgApproximate,
-        )
-        .unwrap();
+        let (mut engine, _) = run_build(MethodKind::DsTree, &data, &options, &env()).unwrap();
+        let exact = run_queries(&mut engine, &workload, &RunConfig::default()).unwrap();
+        let ng_config = with(|c| c.mode = AnswerMode::NgApproximate);
+        let ng = run_queries(&mut engine, &workload, &ng_config).unwrap();
         let exact_examined: u64 = exact
             .queries
             .iter()
@@ -489,14 +420,9 @@ mod tests {
             "{ng_examined} vs {exact_examined}"
         );
         // A scan rejects the mode with a typed error, never a silent run.
-        let (mut scan, _) = run_build(MethodKind::UcrSuite, &data, &options).unwrap();
+        let (mut scan, _) = run_build(MethodKind::UcrSuite, &data, &options, &env()).unwrap();
         assert!(matches!(
-            run_queries_with_mode(
-                &mut scan,
-                &workload,
-                Parallelism::Serial,
-                AnswerMode::NgApproximate
-            ),
+            run_queries(&mut scan, &workload, &ng_config),
             Err(hydra_core::Error::UnsupportedMode { .. })
         ));
     }
@@ -504,8 +430,8 @@ mod tests {
     #[test]
     fn mean_time_of_subsets() {
         let (data, workload, options) = small_setup();
-        let (mut engine, _) = run_build(MethodKind::VaPlusFile, &data, &options).unwrap();
-        let run = run_queries(&mut engine, &workload).unwrap();
+        let (mut engine, _) = run_build(MethodKind::VaPlusFile, &data, &options, &env()).unwrap();
+        let run = run_queries(&mut engine, &workload, &env()).unwrap();
         let all: Vec<usize> = (0..run.queries.len()).collect();
         let mean_all = run.mean_time_of(&all, Platform::Ssd);
         assert!(mean_all > Duration::ZERO);

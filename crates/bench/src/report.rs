@@ -111,6 +111,15 @@ impl ResultTable {
         file.write_all(self.to_csv().as_bytes())?;
         Ok(path)
     }
+
+    /// Prints the table, writes it to `<file_stem>.csv` under
+    /// [`results_dir`], and prints the path written.
+    pub fn emit(&self, file_stem: &str) -> std::io::Result<PathBuf> {
+        println!("{}", self.to_text());
+        let path = self.write_csv(&results_dir(), file_stem)?;
+        println!("wrote {}", path.display());
+        Ok(path)
+    }
 }
 
 /// Writes a bench bin's JSON artifact to `BENCH_<name>.json` in the current

@@ -25,6 +25,7 @@ use crate::parallel::{self, Parallelism};
 use crate::query::{AnswerMode, Query};
 use crate::stats::{IoSnapshot, QueryStats};
 use crate::{Error, Result};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -173,76 +174,59 @@ impl EngineAnswer {
     }
 }
 
-/// A built method plus everything needed to answer and measure queries
-/// uniformly.
-pub struct QueryEngine {
-    method: Box<dyn AnsweringMethod>,
+/// A cheaply cloneable, shareable handle over a built method: the
+/// serving-layer view of a [`QueryEngine`].
+///
+/// A handle holds everything an engine has except its running aggregates —
+/// the built method behind an `Arc`, the I/O source, the build measurement
+/// and the policies — so cloning is two reference-count bumps and
+/// [`EngineHandle::answer`] takes `&self`. Both types answer through the same
+/// request pipeline (one routing step, one attempt loop), so a handle's
+/// answers, guarantees and reconciled stats are bit-identical to the engine
+/// it came from; callers aggregate the returned [`EngineAnswer`]s themselves.
+#[derive(Clone)]
+pub struct EngineHandle {
+    method: Arc<dyn AnsweringMethod>,
     io: Option<Arc<dyn IoSource>>,
     dataset_size: usize,
     build_time: Duration,
     build_io: IoSnapshot,
     fallback: FallbackPolicy,
     retry: RetryPolicy,
-    totals: QueryStats,
-    queries_answered: u64,
-    last_batch_io: Option<IoSnapshot>,
 }
 
-impl QueryEngine {
-    /// Wraps a built method. `dataset_size` is the number of series the
-    /// method answers over (the denominator of pruning ratios).
-    pub fn new(method: Box<dyn AnsweringMethod>, dataset_size: usize) -> Self {
-        Self {
-            method,
-            io: None,
-            dataset_size,
-            build_time: Duration::ZERO,
-            build_io: IoSnapshot::default(),
-            fallback: FallbackPolicy::Strict,
-            retry: RetryPolicy::none(),
-            totals: QueryStats::default(),
-            queries_answered: 0,
-            last_batch_io: None,
-        }
+/// Which kernel one attempt of the pipeline runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Execution {
+    /// The method's per-query [`AnsweringMethod::answer`].
+    Serial,
+    /// The method's [`crate::method::IntraAnswering`] kernel with this many
+    /// workers (the per-query call when the method has none).
+    Intra(usize),
+    /// The method's [`crate::method::BatchAnswering`] kernel over a whole
+    /// chunk, as attempt 0 only: any kernel error makes
+    /// [`QueryEngine::answer_batch`] rerun the per-query loop instead.
+    Batch,
+}
+
+impl EngineHandle {
+    /// Answers a query in its requested mode, with exactly the per-query
+    /// measurement discipline of [`QueryEngine::answer`] (same mode routing,
+    /// I/O reset/reconciliation, retry loop and panic isolation).
+    pub fn answer(&self, query: &Query) -> Result<EngineAnswer> {
+        self.answer_from_attempt(query, 0)
     }
 
-    /// Attaches the store's I/O counters; they are reset before and read
-    /// after every query.
-    pub fn with_io_source(mut self, io: Arc<dyn IoSource>) -> Self {
-        self.io = Some(io);
-        self
-    }
-
-    /// Records what index construction cost (time and I/O), so downstream
-    /// reporting can model build phases without a side channel.
-    pub fn with_build_measurement(mut self, build_time: Duration, build_io: IoSnapshot) -> Self {
-        self.build_time = build_time;
-        self.build_io = build_io;
-        self
-    }
-
-    /// Sets what happens when a query's [`AnswerMode`] is outside the
-    /// method's capabilities (default: [`FallbackPolicy::Strict`]).
-    pub fn with_fallback_policy(mut self, fallback: FallbackPolicy) -> Self {
-        self.fallback = fallback;
-        self
-    }
-
-    /// The configured fallback policy.
-    pub fn fallback_policy(&self) -> FallbackPolicy {
-        self.fallback
-    }
-
-    /// Sets how retriable I/O faults are re-attempted (default:
-    /// [`RetryPolicy::none`]).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
+    /// Like [`EngineHandle::answer`], but with the retry loop's attempt
+    /// numbering shifted by `base_attempt` (announced through
+    /// [`IoSource::begin_attempt`], so fault-injecting sources key their
+    /// decisions on the shifted attempt). The serving layer's hedged retries
+    /// use a base past the primary's retry budget, giving the speculative
+    /// re-submission an independent — but equally deterministic — slice of
+    /// the fault plan. `base_attempt = 0` is exactly
+    /// [`EngineHandle::answer`].
+    pub fn answer_from_attempt(&self, query: &Query, base_attempt: u32) -> Result<EngineAnswer> {
+        self.answer_one(query, base_attempt, Execution::Serial)
     }
 
     /// The method's static description.
@@ -260,7 +244,7 @@ impl QueryEngine {
         self.method.as_ref()
     }
 
-    /// The number of series the engine answers over.
+    /// The number of series the handle answers over.
     pub fn dataset_size(&self) -> usize {
         self.dataset_size
     }
@@ -273,6 +257,289 @@ impl QueryEngine {
     /// I/O counted during index construction.
     pub fn build_io(&self) -> IoSnapshot {
         self.build_io
+    }
+
+    /// The configured fallback policy.
+    pub fn fallback_policy(&self) -> FallbackPolicy {
+        self.fallback
+    }
+
+    /// The configured retry policy.
+    pub fn retry_policy(&self) -> RetryPolicy {
+        self.retry
+    }
+
+    /// Whether queries may run concurrently: only over thread-scoped
+    /// counters (see [`IoSource::has_thread_scoped_counters`]), since with
+    /// the global fallbacks one worker's reset would wipe another's traffic.
+    fn thread_scoped_io(&self) -> bool {
+        self.io
+            .as_ref()
+            .is_none_or(|io| io.has_thread_scoped_counters())
+    }
+
+    /// The routing step every path shares: range queries are a typed
+    /// [`Error::UnsupportedQuery`] (no method in the suite answers them), and
+    /// a mode outside the method's capabilities is a typed
+    /// [`Error::UnsupportedMode`] — unless the caller opted into
+    /// [`FallbackPolicy::ExactFallback`], which substitutes an exact query.
+    fn route<'q>(&self, query: &'q Query) -> Result<Cow<'q, Query>> {
+        let descriptor = self.method.descriptor();
+        query.knn_k(descriptor.name)?;
+        if descriptor.modes.supports(query.mode()) {
+            return Ok(Cow::Borrowed(query));
+        }
+        match self.fallback {
+            FallbackPolicy::Strict => Err(Error::unsupported_mode(descriptor.name, query.mode())),
+            FallbackPolicy::ExactFallback => {
+                Ok(Cow::Owned(query.clone().with_mode(AnswerMode::Exact)))
+            }
+        }
+    }
+
+    /// Routes and runs one query through the attempt loop.
+    fn answer_one(
+        &self,
+        query: &Query,
+        base_attempt: u32,
+        execution: Execution,
+    ) -> Result<EngineAnswer> {
+        let query = self.route(query)?;
+        let (mut answers, _) =
+            self.execute(std::slice::from_ref(&*query), base_attempt, execution)?;
+        // A per-query kernel answers each query or fails, so one query has
+        // exactly one answer.
+        Ok(answers.swap_remove(0))
+    }
+
+    /// The attempt loop, the one place queries are measured. Every attempt
+    /// announces its number (`base_attempt` + retries so far), resets the
+    /// calling thread's I/O shard, times `execution`'s kernel under panic
+    /// isolation, and on success reconciles store-side traffic into each
+    /// query's stats and charges the accumulated retry backoff. Retriable
+    /// errors are re-attempted under the [`RetryPolicy`] (a batch gets one
+    /// attempt). Returns the answers in `queries` order plus the calling
+    /// thread's store traffic of the successful attempt.
+    fn execute(
+        &self,
+        queries: &[Query],
+        base_attempt: u32,
+        execution: Execution,
+    ) -> Result<(Vec<EngineAnswer>, IoSnapshot)> {
+        let max_attempts = match execution {
+            Execution::Batch => 1,
+            _ => self.retry.max_attempts,
+        };
+        let kernel = |stats: &mut [QueryStats]| -> Result<Vec<AnswerSet>> {
+            let intra = match execution {
+                Execution::Serial => None,
+                Execution::Intra(threads) => self.method.intra_answering().map(|k| (k, threads)),
+                Execution::Batch => {
+                    return match self.method.batch_answering() {
+                        Some(batch) => batch.answer_batch(queries, stats),
+                        None => Err(Error::Internal("the method has no batch kernel".into())),
+                    }
+                }
+            };
+            queries
+                .iter()
+                .zip(stats)
+                .map(|(query, stats)| match intra {
+                    Some((kernel, threads)) => kernel.answer_intra(query, threads, stats),
+                    None => self.method.answer(query, stats),
+                })
+                .collect()
+        };
+        let io = self.io.as_deref();
+        let mut attempt: u32 = 1;
+        let mut backoff_pages: u64 = 0;
+        loop {
+            // Every attempt announces its own number — a batch's single one
+            // included — so no kernel inherits the attempt a retried query
+            // left behind on this thread, and fault decisions stay a pure
+            // function of (seed, key, attempt).
+            if let Some(io) = io {
+                io.begin_attempt(base_attempt + attempt - 1);
+                io.reset_thread_io();
+            }
+            let mut stats = vec![QueryStats::default(); queries.len()];
+            // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
+            let clock = Instant::now();
+            // Panic isolation: a poisoned query becomes a typed internal
+            // error instead of unwinding through the caller's workload.
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut stats)));
+            let wall_time = clock.elapsed();
+            let answer_sets = match outcome {
+                Err(panic) => return Err(Error::Internal(panic_message(panic))),
+                Ok(Ok(answer_sets)) => answer_sets,
+                Ok(Err(e)) if e.is_retriable() && attempt < max_attempts => {
+                    backoff_pages = backoff_pages.saturating_add(
+                        self.retry
+                            .backoff_pages
+                            .checked_shl(attempt - 1)
+                            .unwrap_or(u64::MAX),
+                    );
+                    attempt += 1;
+                    continue;
+                }
+                Ok(Err(e)) => return Err(e.with_attempts(attempt)),
+            };
+            let observed = io.map(|io| io.thread_io_snapshot()).unwrap_or_default();
+            // Per-query wall time inside a shared batch pass is ill-defined;
+            // the chunk's elapsed time is attributed evenly.
+            let wall_time = wall_time / queries.len().max(1) as u32;
+            let answers = answer_sets
+                .into_iter()
+                .zip(stats)
+                .map(|(answers, mut stats)| {
+                    // Methods charge leaf reads through their stats; the store
+                    // counters cover raw-file traffic. Keep whichever path
+                    // recorded more pages so neither is lost. A batch kernel
+                    // records each query's logical pass itself, and the
+                    // store then saw the chunk's one shared physical pass.
+                    if execution != Execution::Batch {
+                        stats.reconcile_io(observed);
+                    }
+                    if backoff_pages > 0 {
+                        // Charged after reconciliation so the max-wins rule
+                        // cannot absorb it.
+                        stats.record_io(0, backoff_pages, 0);
+                    }
+                    EngineAnswer {
+                        guarantee: answers.guarantee(),
+                        answers,
+                        stats,
+                        wall_time,
+                        attempts: attempt,
+                    }
+                })
+                .collect();
+            return Ok((answers, observed));
+        }
+    }
+
+    /// Runs the native batch kernel over `queries`, thread-parallel across
+    /// contiguous chunks, returning the answers in batch order plus the
+    /// physical store traffic of all chunks.
+    fn execute_batch(
+        &self,
+        queries: &[Query],
+        parallelism: Parallelism,
+    ) -> Result<(Vec<EngineAnswer>, IoSnapshot)> {
+        let threads = if self.thread_scoped_io() {
+            parallelism.worker_threads()
+        } else {
+            1
+        };
+        let ranges = parallel::split_ranges(queries.len(), threads);
+        let chunks = parallel::map_indexed(ranges.len(), ranges.len(), |i| {
+            self.execute(&queries[ranges[i].clone()], 0, Execution::Batch)
+        });
+        let mut answers = Vec::with_capacity(queries.len());
+        let mut physical = IoSnapshot::default();
+        for chunk in chunks {
+            let (chunk_answers, chunk_io) = chunk?;
+            answers.extend(chunk_answers);
+            physical += chunk_io;
+        }
+        Ok((answers, physical))
+    }
+}
+
+impl std::fmt::Debug for EngineHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EngineHandle")
+            .field("method", &self.descriptor().name)
+            .field("dataset_size", &self.dataset_size)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Renders a payload caught by `catch_unwind` as a readable message.
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "query panicked".to_string()
+    }
+}
+
+/// A built method plus everything needed to answer and measure queries
+/// uniformly: an [`EngineHandle`] plus the running aggregates over the
+/// queries it has answered. The handle's getters are reachable through
+/// `Deref`.
+#[derive(Debug)]
+pub struct QueryEngine {
+    handle: EngineHandle,
+    totals: QueryStats,
+    queries_answered: u64,
+    last_batch_io: Option<IoSnapshot>,
+}
+
+impl std::ops::Deref for QueryEngine {
+    type Target = EngineHandle;
+
+    fn deref(&self) -> &EngineHandle {
+        &self.handle
+    }
+}
+
+impl QueryEngine {
+    /// Wraps a built method. `dataset_size` is the number of series the
+    /// method answers over (the denominator of pruning ratios).
+    pub fn new(method: Box<dyn AnsweringMethod>, dataset_size: usize) -> Self {
+        Self {
+            handle: EngineHandle {
+                method: Arc::from(method),
+                io: None,
+                dataset_size,
+                build_time: Duration::ZERO,
+                build_io: IoSnapshot::default(),
+                fallback: FallbackPolicy::Strict,
+                retry: RetryPolicy::none(),
+            },
+            totals: QueryStats::default(),
+            queries_answered: 0,
+            last_batch_io: None,
+        }
+    }
+
+    /// Attaches the store's I/O counters; they are reset before and read
+    /// after every query.
+    pub fn with_io_source(mut self, io: Arc<dyn IoSource>) -> Self {
+        self.handle.io = Some(io);
+        self
+    }
+
+    /// Records what index construction cost (time and I/O), so downstream
+    /// reporting can model build phases without a side channel.
+    pub fn with_build_measurement(mut self, build_time: Duration, build_io: IoSnapshot) -> Self {
+        self.handle.build_time = build_time;
+        self.handle.build_io = build_io;
+        self
+    }
+
+    /// Sets what happens when a query's [`AnswerMode`] is outside the
+    /// method's capabilities (default: [`FallbackPolicy::Strict`]).
+    pub fn with_fallback_policy(mut self, fallback: FallbackPolicy) -> Self {
+        self.handle.fallback = fallback;
+        self
+    }
+
+    /// Sets how retriable I/O faults are re-attempted (default:
+    /// [`RetryPolicy::none`]).
+    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
+        self.handle.retry = retry;
+        self
+    }
+
+    /// Converts the engine into its cheaply cloneable [`EngineHandle`],
+    /// discarding the running aggregates (totals, query counts, batch I/O).
+    pub fn into_handle(self) -> EngineHandle {
+        self.handle
     }
 
     /// The number of queries answered so far.
@@ -301,18 +568,30 @@ impl QueryEngine {
         self.queries_answered = 0;
     }
 
+    /// The physical store traffic of the most recent
+    /// [`QueryEngine::answer_batch`] call that ran a native batch kernel
+    /// (summed over its thread chunks), or `None` when the last batch fell
+    /// back to the per-query loop (or none ran yet).
+    ///
+    /// This is the batch-scoped accounting counterpart of the per-query
+    /// logical counters: for a batched scan it records **one** sequential
+    /// pass per chunk, while every query's own stats keep the full pass the
+    /// serial loop would have charged it.
+    pub fn last_batch_io(&self) -> Option<IoSnapshot> {
+        self.last_batch_io
+    }
+
+    /// Folds one answered query into the running totals.
+    fn record(&mut self, answered: &EngineAnswer) {
+        self.totals.merge(&answered.stats);
+        self.queries_answered += 1;
+    }
+
     /// Answers a query in its requested mode, measuring it and folding the
     /// stats into the running totals.
     pub fn answer(&mut self, query: &Query) -> Result<EngineAnswer> {
-        let answered = measure_query(
-            self.method.as_ref(),
-            self.io.as_deref(),
-            query,
-            self.fallback,
-            self.retry,
-        )?;
-        self.totals.merge(&answered.stats);
-        self.queries_answered += 1;
+        let answered = self.handle.answer(query)?;
+        self.record(&answered);
         Ok(answered)
     }
 
@@ -339,35 +618,16 @@ impl QueryEngine {
         parallelism: Parallelism,
     ) -> Result<EngineAnswer> {
         let threads = parallelism.worker_threads();
-        let thread_scoped_io = self
-            .io
-            .as_ref()
-            .is_none_or(|io| io.has_thread_scoped_counters());
         // Budgeted queries take the serial path: intra-query kernels split
         // the candidate space across workers and cannot meter a single
         // best-so-far budget deterministically.
-        let answered = match self.method.intra_answering() {
-            Some(kernel) if threads > 1 && thread_scoped_io && query.budget().is_none() => {
-                measure_intra_query(
-                    self.method.as_ref(),
-                    kernel,
-                    self.io.as_deref(),
-                    query,
-                    self.fallback,
-                    self.retry,
-                    threads,
-                )?
-            }
-            _ => measure_query(
-                self.method.as_ref(),
-                self.io.as_deref(),
-                query,
-                self.fallback,
-                self.retry,
-            )?,
+        let execution = if threads > 1 && self.thread_scoped_io() && query.budget().is_none() {
+            Execution::Intra(threads)
+        } else {
+            Execution::Serial
         };
-        self.totals.merge(&answered.stats);
-        self.queries_answered += 1;
+        let answered = self.handle.answer_one(query, 0, execution)?;
+        self.record(&answered);
         Ok(answered)
     }
 
@@ -392,37 +652,26 @@ impl QueryEngine {
         parallelism: Parallelism,
     ) -> Result<Vec<EngineAnswer>> {
         let threads = parallelism.worker_threads().min(queries.len().max(1));
-        let thread_scoped_io = self
-            .io
-            .as_ref()
-            .is_none_or(|io| io.has_thread_scoped_counters());
-        // Concurrency is only sound over thread-scoped counters (see
-        // [`IoSource::has_thread_scoped_counters`]); otherwise fall back to
-        // the serial loop, which is always correct.
-        if threads <= 1 || !thread_scoped_io {
+        if threads <= 1 || !self.thread_scoped_io() {
             return queries.iter().map(|q| self.answer(q)).collect();
         }
-        let method: &dyn AnsweringMethod = self.method.as_ref();
-        let io = self.io.as_deref();
-        let fallback = self.fallback;
-        let retry = self.retry;
+        let handle = &self.handle;
         // Like the serial loop, stop issuing work after the first failure.
         // A worker that observes the flag marks its query skipped (`None`)
         // instead of answering it.
         let abort = std::sync::atomic::AtomicBool::new(false);
-        let results: Vec<Option<Result<EngineAnswer>>> =
-            parallel::map_indexed(queries.len(), threads, |i| {
-                if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                    return None;
-                }
-                let result = measure_query(method, io, &queries[i], fallback, retry);
-                if result.is_err() {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                Some(result)
-            });
+        let results = parallel::map_indexed(queries.len(), threads, |i| {
+            if abort.load(std::sync::atomic::Ordering::Relaxed) {
+                return None;
+            }
+            let result = handle.answer(&queries[i]);
+            if result.is_err() {
+                abort.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+            Some(result)
+        });
         let mut out = Vec::with_capacity(results.len());
-        for (i, result) in results.into_iter().enumerate() {
+        for (query, result) in queries.iter().zip(results) {
             let answered = match result {
                 Some(result) => result?,
                 // A pre-error skip: the claim/abort-check race can skip an
@@ -430,10 +679,9 @@ impl QueryEngine {
                 // have answered it, so repair it here on the calling thread.
                 // (Skips above the first error are unreachable: the `?` on
                 // that error returns first.)
-                None => measure_query(method, io, &queries[i], fallback, retry)?,
+                None => self.handle.answer(query)?,
             };
-            self.totals.merge(&answered.stats);
-            self.queries_answered += 1;
+            self.record(&answered);
             out.push(answered);
         }
         Ok(out)
@@ -464,9 +712,11 @@ impl QueryEngine {
     /// before it in the batch are answered and merged, like the serial
     /// loop), or substituted with an exact query under
     /// [`FallbackPolicy::ExactFallback`]; range queries are typed
-    /// [`Error::UnsupportedQuery`] errors. A method-level kernel error
-    /// (length mismatch, empty dataset) reruns the batch through the
-    /// per-query loop, which reproduces the serial error semantics exactly.
+    /// [`Error::UnsupportedQuery`] errors. The kernel runs as attempt 0 only:
+    /// any kernel error — a method-level one (length mismatch, empty
+    /// dataset) or an injected I/O fault — reruns the batch through the
+    /// per-query loop, which reproduces the serial error and retry semantics
+    /// exactly.
     pub fn answer_batch(
         &mut self,
         queries: &[Query],
@@ -476,484 +726,57 @@ impl QueryEngine {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        if self.method.batch_answering().is_none() {
-            return self.answer_workload(queries, parallelism);
-        }
         // Budgeted queries take the per-query loop: a batch kernel shares one
         // physical pass across the whole batch and cannot stop one member's
         // search early without perturbing the others' counters.
-        if queries.iter().any(|q| q.budget().is_some()) {
+        if self.method().batch_answering().is_none() || queries.iter().any(|q| q.budget().is_some())
+        {
             return self.answer_workload(queries, parallelism);
         }
-        // Engine-boundary routing, mirroring `measure_query`: substitute
-        // unsupported modes under the exact-fallback policy, and stop the
-        // batch at the first rejected query — the serial loop answers the
-        // queries before it, then surfaces its typed error. The common case
-        // (every query accepted as-is) passes the caller's slice straight
-        // through; queries are only cloned when a substitution forces an
-        // owned batch.
-        let descriptor = self.method.descriptor();
-        let mut substituted: Vec<Query> = Vec::new();
-        let mut accepted = 0usize;
-        let mut boundary_error = None;
+        // Stop the batch at the first rejected query: the serial loop answers
+        // the queries before it, then surfaces its typed error. Queries are
+        // only cloned when a substitution forces an owned batch.
+        let mut routed = Vec::with_capacity(queries.len());
+        let mut rejected = None;
         for query in queries {
-            if let Err(e) = query.knn_k(descriptor.name) {
-                boundary_error = Some(e);
-                break;
-            }
-            if descriptor.modes.supports(query.mode()) {
-                if !substituted.is_empty() {
-                    substituted.push(query.clone());
-                }
-            } else {
-                match self.fallback {
-                    FallbackPolicy::Strict => {
-                        boundary_error =
-                            Some(Error::unsupported_mode(descriptor.name, query.mode()));
-                        break;
-                    }
-                    FallbackPolicy::ExactFallback => {
-                        if substituted.is_empty() {
-                            substituted.extend(queries[..accepted].iter().cloned());
-                        }
-                        substituted.push(query.clone().with_mode(AnswerMode::Exact));
-                    }
+            match self.handle.route(query) {
+                Ok(query) => routed.push(query),
+                Err(e) => {
+                    rejected = Some(e);
+                    break;
                 }
             }
-            accepted += 1;
         }
-        let routed: &[Query] = if substituted.is_empty() {
-            &queries[..accepted]
+        let owned: Vec<Query>;
+        let routed: &[Query] = if routed.iter().all(|q| matches!(q, Cow::Borrowed(_))) {
+            &queries[..routed.len()]
         } else {
-            &substituted
+            owned = routed.into_iter().map(Cow::into_owned).collect();
+            &owned
         };
-        match self.run_batch_kernel(routed, parallelism) {
-            Ok((answers, physical_io)) => {
-                for answered in &answers {
-                    self.totals.merge(&answered.stats);
-                    self.queries_answered += 1;
+        // An empty routed prefix (first query rejected) never reaches the
+        // kernel, so `last_batch_io` stays `None`.
+        let answered = if routed.is_empty() {
+            Vec::new()
+        } else {
+            match self.handle.execute_batch(routed, parallelism) {
+                Ok((answers, physical)) => {
+                    self.last_batch_io = Some(physical);
+                    answers
                 }
-                // `Some` means a native kernel actually ran; an empty routed
-                // prefix (first query rejected) never reached the kernel.
-                if !routed.is_empty() {
-                    self.last_batch_io = Some(physical_io);
-                }
-                match boundary_error {
-                    None => Ok(answers),
-                    Some(e) => Err(e),
-                }
+                // The kernel returns no partial results, so rerun through the
+                // per-query loop, which answers the prefix before the failing
+                // query and surfaces the first error in batch order.
+                Err(_) => return self.answer_workload(queries, parallelism),
             }
-            // A method-level error (length mismatch, empty dataset): the
-            // kernel returns no partial results, so rerun through the
-            // per-query loop, which answers the prefix before the failing
-            // query and surfaces the first error in batch order — exactly
-            // the serial semantics.
-            Err(_) => self.answer_workload(queries, parallelism),
+        };
+        for answered in &answered {
+            self.record(answered);
         }
-    }
-
-    /// Runs the native batch kernel over `queries`, thread-parallel across
-    /// contiguous chunks, returning the answers in batch order plus the
-    /// physical store traffic of all chunks.
-    fn run_batch_kernel(
-        &self,
-        queries: &[Query],
-        parallelism: Parallelism,
-    ) -> Result<(Vec<EngineAnswer>, IoSnapshot)> {
-        let kernel = self
-            .method
-            .batch_answering()
-            // hydra-lint: allow(lib-unwrap) answer_batch checked batch_answering() first
-            .expect("checked by answer_batch");
-        let io = self.io.as_deref();
-        let threads = parallelism.worker_threads().min(queries.len().max(1));
-        let thread_scoped_io = self
-            .io
-            .as_ref()
-            .is_none_or(|src| src.has_thread_scoped_counters());
-        if threads <= 1 || !thread_scoped_io {
-            return run_batch_chunk(kernel, io, queries);
+        match rejected {
+            None => Ok(answered),
+            Some(e) => Err(e),
         }
-        let ranges = parallel::split_ranges(queries.len(), threads);
-        let chunks: Vec<Result<(Vec<EngineAnswer>, IoSnapshot)>> =
-            parallel::map_indexed(ranges.len(), ranges.len(), |i| {
-                run_batch_chunk(kernel, io, &queries[ranges[i].clone()])
-            });
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut physical = IoSnapshot::default();
-        for chunk in chunks {
-            let (chunk_answers, chunk_io) = chunk?;
-            answers.extend(chunk_answers);
-            physical.sequential_pages += chunk_io.sequential_pages;
-            physical.random_pages += chunk_io.random_pages;
-            physical.bytes_read += chunk_io.bytes_read;
-            physical.bytes_written += chunk_io.bytes_written;
-        }
-        Ok((answers, physical))
-    }
-
-    /// The physical store traffic of the most recent
-    /// [`QueryEngine::answer_batch`] call that ran a native batch kernel
-    /// (summed over its thread chunks), or `None` when the last batch fell
-    /// back to the per-query loop (or none ran yet).
-    ///
-    /// This is the batch-scoped accounting counterpart of the per-query
-    /// logical counters: for a batched scan it records **one** sequential
-    /// pass per chunk, while every query's own stats keep the full pass the
-    /// serial loop would have charged it.
-    pub fn last_batch_io(&self) -> Option<IoSnapshot> {
-        self.last_batch_io
-    }
-}
-
-/// A cheaply cloneable, shareable handle over a built method: the
-/// serving-layer view of a [`QueryEngine`].
-///
-/// The engine itself owns mutable running aggregates (totals, query counts),
-/// so sharing one across concurrent requests would serialize them behind a
-/// lock. A handle drops the aggregates and keeps only the immutable parts —
-/// the built method behind an `Arc`, the I/O source, the policies — so
-/// cloning is two reference-count bumps and [`EngineHandle::answer`] takes
-/// `&self`. Per-query measurement goes through the *same* [`measure_query`]
-/// path as [`QueryEngine::answer`], so a handle's answers, guarantees and
-/// reconciled stats are bit-identical to the engine it came from; callers
-/// aggregate the returned [`EngineAnswer`]s themselves.
-#[derive(Clone)]
-pub struct EngineHandle {
-    method: Arc<dyn AnsweringMethod>,
-    io: Option<Arc<dyn IoSource>>,
-    dataset_size: usize,
-    fallback: FallbackPolicy,
-    retry: RetryPolicy,
-}
-
-impl EngineHandle {
-    /// Answers a query in its requested mode, with exactly the per-query
-    /// measurement discipline of [`QueryEngine::answer`] (same mode routing,
-    /// I/O reset/reconciliation, retry loop and panic isolation).
-    pub fn answer(&self, query: &Query) -> Result<EngineAnswer> {
-        measure_query(
-            self.method.as_ref(),
-            self.io.as_deref(),
-            query,
-            self.fallback,
-            self.retry,
-        )
-    }
-
-    /// Like [`EngineHandle::answer`], but with the retry loop's attempt
-    /// numbering shifted by `base_attempt` (announced through
-    /// [`IoSource::begin_attempt`], so fault-injecting sources key their
-    /// decisions on the shifted attempt). The serving layer's hedged retries
-    /// use a base past the primary's retry budget, giving the speculative
-    /// re-submission an independent — but equally deterministic — slice of
-    /// the fault plan. `base_attempt = 0` is exactly
-    /// [`EngineHandle::answer`].
-    pub fn answer_from_attempt(&self, query: &Query, base_attempt: u32) -> Result<EngineAnswer> {
-        measure_query_from_attempt(
-            self.method.as_ref(),
-            self.io.as_deref(),
-            query,
-            self.fallback,
-            self.retry,
-            base_attempt,
-        )
-    }
-
-    /// The method's static description.
-    pub fn descriptor(&self) -> MethodDescriptor {
-        self.method.descriptor()
-    }
-
-    /// The number of series the handle answers over.
-    pub fn dataset_size(&self) -> usize {
-        self.dataset_size
-    }
-
-    /// The configured fallback policy.
-    pub fn fallback_policy(&self) -> FallbackPolicy {
-        self.fallback
-    }
-
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-}
-
-impl std::fmt::Debug for EngineHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineHandle")
-            .field("method", &self.descriptor().name)
-            .field("dataset_size", &self.dataset_size)
-            .finish_non_exhaustive()
-    }
-}
-
-impl QueryEngine {
-    /// Converts the engine into a cheaply cloneable [`EngineHandle`],
-    /// discarding the running aggregates (totals, query counts, batch I/O)
-    /// and keeping the built method, I/O source and policies.
-    pub fn into_handle(self) -> EngineHandle {
-        EngineHandle {
-            method: Arc::from(self.method),
-            io: self.io,
-            dataset_size: self.dataset_size,
-            fallback: self.fallback,
-            retry: self.retry,
-        }
-    }
-}
-
-/// Runs the batch kernel over one contiguous chunk on the calling thread:
-/// resets the thread's I/O shard, times the kernel, collects per-query stats,
-/// and snapshots the chunk's physical store traffic.
-fn run_batch_chunk(
-    kernel: &dyn crate::method::BatchAnswering,
-    io: Option<&dyn IoSource>,
-    queries: &[Query],
-) -> Result<(Vec<EngineAnswer>, IoSnapshot)> {
-    if queries.is_empty() {
-        return Ok((Vec::new(), IoSnapshot::default()));
-    }
-    if let Some(io) = io {
-        io.reset_thread_io();
-    }
-    let mut stats = vec![QueryStats::default(); queries.len()];
-    // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-    let clock = Instant::now();
-    // Panic isolation, like the per-query loop: a poisoned batch becomes a
-    // typed internal error (answer_batch then reruns the per-query loop,
-    // which reproduces serial error semantics).
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        kernel.answer_batch(queries, &mut stats)
-    }));
-    let answer_sets = match outcome {
-        Ok(result) => result?,
-        Err(panic) => return Err(Error::Internal(panic_message(panic))),
-    };
-    let wall_time = clock.elapsed();
-    let physical = io.map(|io| io.thread_io_snapshot()).unwrap_or_default();
-    debug_assert_eq!(answer_sets.len(), queries.len(), "kernel answered all");
-    // Per-query wall time inside a shared pass is ill-defined; attribute the
-    // chunk's elapsed time evenly (the amortized per-query cost).
-    let per_query_wall = wall_time / queries.len() as u32;
-    let answers = answer_sets
-        .into_iter()
-        .zip(stats)
-        .map(|(answers, stats)| EngineAnswer {
-            guarantee: answers.guarantee(),
-            answers,
-            stats,
-            wall_time: per_query_wall,
-            attempts: 1,
-        })
-        .collect();
-    Ok((answers, physical))
-}
-
-/// Renders a payload caught by `catch_unwind` as a readable message.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "query panicked".to_string()
-    }
-}
-
-/// Measures one query on the calling thread: enforces the method's mode and
-/// query-kind capabilities, resets the calling thread's I/O shard, times the
-/// dyn call, and reconciles store-side traffic into the stats. Used by both
-/// the serial [`QueryEngine::answer`] path and the workload workers, so the
-/// two produce identical per-query measurements.
-fn measure_query(
-    method: &dyn AnsweringMethod,
-    io: Option<&dyn IoSource>,
-    query: &Query,
-    fallback: FallbackPolicy,
-    retry: RetryPolicy,
-) -> Result<EngineAnswer> {
-    measure_query_from_attempt(method, io, query, fallback, retry, 0)
-}
-
-/// [`measure_query`] with the retry loop's attempt numbering shifted by
-/// `base_attempt`: the first attempt announces `base_attempt` through
-/// [`IoSource::begin_attempt`], the first retry `base_attempt + 1`, and so
-/// on. The serving layer's hedged retries use this to give a speculative
-/// re-submission a *different* (but still deterministic) slice of the fault
-/// plan than the primary attempt chain — a transient fault that persists
-/// through the primary's attempts has cleared by the hedge's. `base_attempt
-/// = 0` is exactly [`measure_query`].
-fn measure_query_from_attempt(
-    method: &dyn AnsweringMethod,
-    io: Option<&dyn IoSource>,
-    query: &Query,
-    fallback: FallbackPolicy,
-    retry: RetryPolicy,
-    base_attempt: u32,
-) -> Result<EngineAnswer> {
-    let descriptor = method.descriptor();
-    // Range queries are a typed error at the engine boundary: no method in
-    // the suite answers them (previously they silently became 1-NN queries).
-    query.knn_k(descriptor.name)?;
-    // An unsupported mode is a typed error too, unless the caller explicitly
-    // opted into the exact fallback.
-    let exact_substitute;
-    let query = if descriptor.modes.supports(query.mode()) {
-        query
-    } else {
-        match fallback {
-            FallbackPolicy::Strict => {
-                return Err(Error::unsupported_mode(descriptor.name, query.mode()))
-            }
-            FallbackPolicy::ExactFallback => {
-                exact_substitute = query.clone().with_mode(AnswerMode::Exact);
-                &exact_substitute
-            }
-        }
-    };
-    let mut attempt: u32 = 1;
-    let mut backoff_penalty: u64 = 0;
-    loop {
-        if let Some(io) = io {
-            io.begin_attempt(base_attempt + attempt - 1);
-            io.reset_thread_io();
-        }
-        let mut stats = QueryStats::default();
-        // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-        let clock = Instant::now();
-        // Panic isolation: a poisoned query becomes a typed internal error
-        // instead of unwinding through the workload driver.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            method.answer(query, &mut stats)
-        }));
-        let wall_time = clock.elapsed();
-        match outcome {
-            Err(panic) => return Err(Error::Internal(panic_message(panic))),
-            Ok(Ok(answers)) => {
-                if let Some(io) = io {
-                    // Methods charge leaf reads through their stats; the store
-                    // counters cover raw-file traffic. Keep whichever
-                    // accounting path recorded more pages so neither is lost.
-                    stats.reconcile_io(io.thread_io_snapshot());
-                }
-                if backoff_penalty > 0 {
-                    // The accumulated backoff is part of this query's cost;
-                    // charged after reconciliation so the max-wins rule cannot
-                    // absorb it.
-                    stats.record_io(0, backoff_penalty, 0);
-                }
-                return Ok(EngineAnswer {
-                    guarantee: answers.guarantee(),
-                    answers,
-                    stats,
-                    wall_time,
-                    attempts: attempt,
-                });
-            }
-            Ok(Err(e)) => {
-                if e.is_retriable() && attempt < retry.max_attempts {
-                    backoff_penalty = backoff_penalty.saturating_add(
-                        retry
-                            .backoff_pages
-                            .checked_shl(attempt - 1)
-                            .unwrap_or(u64::MAX),
-                    );
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e.with_attempts(attempt));
-            }
-        }
-    }
-}
-
-/// Measures one intra-parallel query on the calling thread: identical to
-/// [`measure_query`] — same mode routing, same I/O reset and reconciliation,
-/// same timing placement — except the dyn call goes to the method's
-/// [`crate::method::IntraAnswering`] kernel with the resolved worker count.
-fn measure_intra_query(
-    method: &dyn AnsweringMethod,
-    kernel: &dyn crate::method::IntraAnswering,
-    io: Option<&dyn IoSource>,
-    query: &Query,
-    fallback: FallbackPolicy,
-    retry: RetryPolicy,
-    threads: usize,
-) -> Result<EngineAnswer> {
-    let descriptor = method.descriptor();
-    query.knn_k(descriptor.name)?;
-    let exact_substitute;
-    let query = if descriptor.modes.supports(query.mode()) {
-        query
-    } else {
-        match fallback {
-            FallbackPolicy::Strict => {
-                return Err(Error::unsupported_mode(descriptor.name, query.mode()))
-            }
-            FallbackPolicy::ExactFallback => {
-                exact_substitute = query.clone().with_mode(AnswerMode::Exact);
-                &exact_substitute
-            }
-        }
-    };
-    let mut attempt: u32 = 1;
-    let mut backoff_penalty: u64 = 0;
-    loop {
-        if let Some(io) = io {
-            io.begin_attempt(attempt - 1);
-            io.reset_thread_io();
-        }
-        let mut stats = QueryStats::default();
-        // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-        let clock = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            kernel.answer_intra(query, threads, &mut stats)
-        }));
-        let wall_time = clock.elapsed();
-        match outcome {
-            Err(panic) => return Err(Error::Internal(panic_message(panic))),
-            Ok(Ok(answers)) => {
-                if let Some(io) = io {
-                    stats.reconcile_io(io.thread_io_snapshot());
-                }
-                if backoff_penalty > 0 {
-                    stats.record_io(0, backoff_penalty, 0);
-                }
-                return Ok(EngineAnswer {
-                    guarantee: answers.guarantee(),
-                    answers,
-                    stats,
-                    wall_time,
-                    attempts: attempt,
-                });
-            }
-            Ok(Err(e)) => {
-                if e.is_retriable() && attempt < retry.max_attempts {
-                    backoff_penalty = backoff_penalty.saturating_add(
-                        retry
-                            .backoff_pages
-                            .checked_shl(attempt - 1)
-                            .unwrap_or(u64::MAX),
-                    );
-                    attempt += 1;
-                    continue;
-                }
-                return Err(e.with_attempts(attempt));
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for QueryEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryEngine")
-            .field("method", &self.descriptor().name)
-            .field("dataset_size", &self.dataset_size)
-            .field("queries_answered", &self.queries_answered)
-            .finish_non_exhaustive()
     }
 }
 

@@ -51,6 +51,15 @@ impl IoSnapshot {
     }
 }
 
+impl std::ops::AddAssign for IoSnapshot {
+    fn add_assign(&mut self, part: IoSnapshot) {
+        self.sequential_pages += part.sequential_pages;
+        self.random_pages += part.random_pages;
+        self.bytes_read += part.bytes_read;
+        self.bytes_written += part.bytes_written;
+    }
+}
+
 /// Per-query work counters, filled in by every method while answering.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryStats {

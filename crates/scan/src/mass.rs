@@ -211,7 +211,9 @@ impl BatchAnswering for MassScan {
             .collect();
         let mut heaps: Vec<KnnHeap> = ks.iter().map(|&k| KnnHeap::new(k)).collect();
         let mut c_spec: Vec<Complex> = Vec::with_capacity(n);
-        self.store.scan_all(|id, series| {
+        // Fallible, like the serial scan: a faulted read fails the kernel
+        // and the engine reruns the per-query loop with its retries.
+        self.store.try_scan_all(|id, series| {
             self.fft.forward_real_into(series.values(), &mut c_spec);
             let c_norm_sq: f64 = series
                 .values()
@@ -230,7 +232,8 @@ impl BatchAnswering for MassScan {
                 let sq = (q_norm_sq + c_norm_sq - 2.0 * dot).max(0.0);
                 heap.offer(id, sq.sqrt());
             }
-        });
+            Ok(ControlFlow::Continue(()))
+        })?;
         let pages = self.store.total_pages();
         let bytes = (self.store.len() * self.store.series_bytes()) as u64;
         for stats in stats.iter_mut() {

@@ -209,7 +209,10 @@ impl BatchAnswering for UcrScan {
         let mut heaps: Vec<KnnHeap> = ks.iter().map(|&k| KnnHeap::new(k)).collect();
         let mut thresholds = vec![f64::INFINITY; queries.len()];
         let mut distances: Vec<Option<f64>> = vec![None; queries.len()];
-        self.store.scan_all(|id, series| {
+        // The fallible pass consults the fault plan like the serial scan: a
+        // faulted read fails the kernel, and the engine then reruns the
+        // batch through the per-query loop and its retries.
+        self.store.try_scan_all(|id, series| {
             for (threshold, heap) in thresholds.iter_mut().zip(&heaps) {
                 *threshold = heap.threshold_squared();
             }
@@ -230,7 +233,8 @@ impl BatchAnswering for UcrScan {
                     None => stats.record_early_abandon(),
                 }
             }
-        });
+            Ok(ControlFlow::Continue(()))
+        })?;
         // Each query keeps the logical cost of its own full pass (identical
         // to the serial loop); the shared pass's physical traffic stays on
         // the store counters for the engine's batch-scoped accounting.

@@ -46,13 +46,6 @@ impl Shard {
     }
 }
 
-fn add(total: &mut IoSnapshot, part: &IoSnapshot) {
-    total.sequential_pages += part.sequential_pages;
-    total.random_pages += part.random_pages;
-    total.bytes_read += part.bytes_read;
-    total.bytes_written += part.bytes_written;
-}
-
 #[derive(Debug, Default)]
 struct Registry {
     // hydra-lint: allow(nondeterministic-source) thread id keys shard the counters; sums commute
@@ -75,7 +68,7 @@ impl Registry {
                 return true;
             }
             let orphan = shard.lock();
-            add(&mut self.orphaned, &orphan.snapshot);
+            self.orphaned += orphan.snapshot;
             false
         });
     }
@@ -235,7 +228,7 @@ impl IoCounters {
         registry.collect_orphans();
         let mut total = registry.orphaned;
         for shard in registry.shards.values() {
-            add(&mut total, &shard.lock().snapshot);
+            total += shard.lock().snapshot;
         }
         total
     }

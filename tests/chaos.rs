@@ -177,6 +177,49 @@ fn recovering_retries_answer_every_query_identically_across_parallelism() {
 }
 
 #[test]
+fn batches_under_faults_match_the_per_query_loop_on_fresh_and_reused_threads() {
+    let data = dataset(300, 64, 42);
+    let queries = chaos_queries(&data);
+    let retry = RetryPolicy::new(4, 2);
+    let digests =
+        |answers: Vec<EngineAnswer>| -> Vec<String> { answers.iter().map(digest).collect() };
+    for kind in MethodKind::ALL {
+        let engine =
+            || engine_with_plan(kind, &data, FaultPlan::seeded(SEED, chaos_config()), retry);
+        for reused in [false, true] {
+            // A new thread starts at attempt 0. The reused case first runs the
+            // retried per-query workload on it, which leaves its last attempt
+            // number behind for the batch that follows.
+            let (batched, serial) = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let mut serial_engine = engine();
+                        let workload = |e: &mut QueryEngine| {
+                            e.answer_workload(&queries, Parallelism::Serial)
+                                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()))
+                        };
+                        let warm_up = reused.then(|| workload(&mut serial_engine));
+                        let batched = engine()
+                            .answer_batch(&queries, Parallelism::Serial)
+                            .unwrap_or_else(|e| panic!("{} batch: {e}", kind.name()));
+                        let serial = warm_up.unwrap_or_else(|| workload(&mut serial_engine));
+                        (digests(batched), digests(serial))
+                    })
+                    .join()
+                    .unwrap()
+            });
+            assert_eq!(
+                batched,
+                serial,
+                "{}: batch diverged from the per-query loop on a {} thread",
+                kind.name(),
+                if reused { "reused" } else { "fresh" }
+            );
+        }
+    }
+}
+
+#[test]
 fn a_disabled_fault_plan_is_bit_identical_to_the_clean_store() {
     let data = dataset(300, 64, 42);
     let queries = chaos_queries(&data);

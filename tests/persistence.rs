@@ -363,16 +363,22 @@ fn registry_cache_saves_then_loads_and_invalidates() {
 
 #[test]
 fn run_build_skips_the_rebuild_when_the_env_names_an_index_dir() {
-    // The only test in this binary that touches HYDRA_INDEX_DIR (env vars
-    // are process-global; every other test passes directories explicitly).
-    use hydra_bench::{run_build, MethodKind};
+    // The run configuration names the directory, as `--index-dir` or
+    // HYDRA_INDEX_DIR would.
+    use hydra_bench::{run_build, MethodKind, RunConfig};
     let data = dataset(200, 64);
     let opts = options().with_segments(8);
     let dir = temp_dir("env-run-build");
-    std::env::set_var("HYDRA_INDEX_DIR", &dir);
-    let first = run_build(MethodKind::DsTree, &data, &opts).unwrap().1;
-    let second = run_build(MethodKind::DsTree, &data, &opts).unwrap().1;
-    std::env::remove_var("HYDRA_INDEX_DIR");
+    let config = RunConfig {
+        index_dir: Some(dir.clone()),
+        ..RunConfig::default()
+    };
+    let first = run_build(MethodKind::DsTree, &data, &opts, &config)
+        .unwrap()
+        .1;
+    let second = run_build(MethodKind::DsTree, &data, &opts, &config)
+        .unwrap()
+        .1;
     assert!(
         matches!(first.snapshot, hydra_bench::SnapshotOutcome::Saved { .. }),
         "{:?}",
@@ -384,8 +390,10 @@ fn run_build_skips_the_rebuild_when_the_env_names_an_index_dir() {
         second.footprint.as_ref().map(|f| f.total_nodes),
         first.footprint.as_ref().map(|f| f.total_nodes)
     );
-    // Without the env var, run_build builds fresh and touches no snapshot.
-    let third = run_build(MethodKind::DsTree, &data, &opts).unwrap().1;
+    // Without a directory, run_build builds fresh and touches no snapshot.
+    let third = run_build(MethodKind::DsTree, &data, &opts, &RunConfig::default())
+        .unwrap()
+        .1;
     assert_eq!(third.snapshot, hydra_bench::SnapshotOutcome::Unsupported);
     std::fs::remove_dir_all(&dir).ok();
 }
