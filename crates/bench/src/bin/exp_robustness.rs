@@ -1,7 +1,8 @@
 //! EXP-ROBUST: the robustness study — a fault-rate × retry-policy × budget
 //! ladder under seeded deterministic fault injection, over the three scans
 //! plus the VA+file and ADS+. Reports per-cell success rate, mean attempts
-//! per answered query, truncation fraction and the error ratio of degraded
+//! per answered query (1 + the deepest in-place re-read of any of its
+//! reads), truncation fraction and the error ratio of degraded
 //! answers against the fault-free exact baseline, plus a snapshot-recovery
 //! phase counting quarantine-and-rebuild recoveries of corrupted on-disk
 //! snapshots.

@@ -1101,6 +1101,11 @@ pub fn robustness_methods() -> Vec<MethodKind> {
 /// — plus a snapshot-recovery phase that corrupts on-disk snapshots and
 /// counts quarantine-and-rebuild recoveries across repeated load cycles.
 ///
+/// `mean_attempts` averages [`hydra_core::EngineAnswer::attempts`] over the
+/// answered queries: 1 plus the most re-reads any one read of the query
+/// needed, which is the number of whole-query attempts one clean pass would
+/// take. Reads are retried in place, so each query's kernel runs once.
+///
 /// Two contracts are asserted on the way (the function panics on violation):
 /// the fault-free unbudgeted cell answers bit-identically to the baseline
 /// with identical work counters, and every failed query in a faulted cell

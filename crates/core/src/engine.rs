@@ -71,23 +71,28 @@ pub trait IoSource: Send + Sync {
         false
     }
 
-    /// Announces which retry attempt (0-based) the calling thread is about to
-    /// run, so fault-injecting sources can key their decisions on it (a
-    /// transient fault clears after a planned number of attempts). The
-    /// default is a no-op for fault-free sources.
+    /// Announces a retry attempt (0-based) for the calling thread. The engine
+    /// does not call it: retries happen per read, and fault-injecting stores
+    /// take their attempt numbers from the calling thread's
+    /// [`ReadRetryScope`] through [`retry_read`]. It is a no-op by default,
+    /// declared for adapters that forward it.
     fn begin_attempt(&self, _attempt: u32) {}
 }
 
-/// How the engine re-attempts queries that fail with a *retriable* I/O error
-/// (see [`Error::is_retriable`]).
+/// How a *retriable* I/O error (see [`Error::is_retriable`]) is retried: at
+/// the read that faulted, not by rerunning the query.
 ///
-/// Backoff is charged in deterministic cost-model units — random page
-/// accesses, not wall clock — so retried runs stay bit-reproducible: before
-/// retry `j` (1-based) the engine charges `backoff_pages << (j - 1)` random
-/// pages to the query's stats.
+/// The engine opens a [`ReadRetryScope`] around each query, and every
+/// fallible store read inside it is tried up to `max_attempts` times in
+/// place (see [`retry_read`]); the query's kernel runs once. A query whose
+/// deepest read needed `d` re-reads reports `1 + d` attempts, and its stats
+/// are charged the backoff of those re-reads once, after I/O
+/// reconciliation: `backoff_pages << (j - 1)` random pages for each
+/// `j` in `1..=d`. Backoff is paid in cost-model units, not wall clock, so
+/// retried runs stay bit-reproducible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Maximum attempts per query, including the first (≥ 1).
+    /// Maximum tries per read, including the first (≥ 1).
     pub max_attempts: u32,
     /// Base backoff charge in random pages, doubled on each further retry.
     pub backoff_pages: u64,
@@ -116,6 +121,103 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self::none()
     }
+}
+
+impl RetryPolicy {
+    /// The backoff charged for a query whose deepest read needed `rereads`
+    /// re-reads: `backoff_pages << (j - 1)` random pages for each `j` in
+    /// `1..=rereads`, saturating.
+    fn backoff_for(&self, rereads: u32) -> u64 {
+        (0..rereads).fold(0u64, |total, j| {
+            total.saturating_add(self.backoff_pages.checked_shl(j).unwrap_or(u64::MAX))
+        })
+    }
+}
+
+/// The calling thread's read-retry state: reads try attempts
+/// `base..base + tries`, and `deepest` is the most re-reads any read needed.
+#[derive(Clone, Copy)]
+struct ReadRetry {
+    base: u32,
+    tries: u32,
+    deepest: u32,
+}
+
+/// Outside any scope a read gets one try, at attempt 0.
+const NO_SCOPE: ReadRetry = ReadRetry {
+    base: 0,
+    tries: 1,
+    deepest: 0,
+};
+
+thread_local! {
+    static READ_RETRY: std::cell::Cell<ReadRetry> = const { std::cell::Cell::new(NO_SCOPE) };
+}
+
+/// An open read-retry scope on the calling thread: while it lives, every
+/// [`retry_read`] on this thread tries attempts `base_attempt`,
+/// `base_attempt + 1`, … up to `max_attempts` tries. Dropping it (also
+/// during a panic) restores the scope it replaced, so scopes nest.
+///
+/// The engine opens one around each query's kernel. Reads outside any scope
+/// get one try at attempt 0.
+#[must_use = "the scope closes when the guard is dropped"]
+pub struct ReadRetryScope {
+    outer: ReadRetry,
+    // The guard restores a thread-local, so it must stay on its thread.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl ReadRetryScope {
+    /// Opens a scope whose reads start at `base_attempt` and get up to
+    /// `max_attempts` tries each (clamped to ≥ 1).
+    pub fn enter(base_attempt: u32, max_attempts: u32) -> Self {
+        let outer = READ_RETRY.replace(ReadRetry {
+            base: base_attempt,
+            tries: max_attempts.max(1),
+            deepest: 0,
+        });
+        Self {
+            outer,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+
+    /// The most re-reads any read in this scope needed so far (0 when every
+    /// read succeeded, or failed, on its first try).
+    pub fn deepest_reread(&self) -> u32 {
+        READ_RETRY.get().deepest
+    }
+}
+
+impl Drop for ReadRetryScope {
+    fn drop(&mut self) {
+        READ_RETRY.set(self.outer);
+    }
+}
+
+/// Runs one fallible read under the calling thread's [`ReadRetryScope`]:
+/// `read(attempt)` is tried for the scope's attempts in order until it
+/// succeeds, fails with a non-retriable error, or runs out of tries, and
+/// the scope records how many re-reads it took. An exhausted read returns
+/// its last try's error, stamped with the number of tries made.
+pub fn retry_read<T>(mut read: impl FnMut(u32) -> Result<T>) -> Result<T> {
+    let scope = READ_RETRY.get();
+    let mut reread = 0;
+    let result = loop {
+        match read(scope.base + reread) {
+            Err(e) if e.is_retriable() && reread + 1 < scope.tries => reread += 1,
+            Err(e) => break Err(e.with_attempts(reread + 1)),
+            Ok(value) => break Ok(value),
+        }
+    };
+    if reread > scope.deepest {
+        READ_RETRY.set(ReadRetry {
+            deepest: reread,
+            ..scope
+        });
+    }
+    result
 }
 
 /// Whether a query ran to completion or was cut short by its
@@ -158,8 +260,11 @@ pub struct EngineAnswer {
     pub stats: QueryStats,
     /// Wall-clock time of the dyn `answer` call.
     pub wall_time: Duration,
-    /// How many attempts the engine made (1 unless a retriable I/O fault was
-    /// retried under a [`RetryPolicy`]).
+    /// 1 plus the most re-reads any single read of the query needed under
+    /// the [`RetryPolicy`] (1 when no retriable fault was retried). A query
+    /// whose reads fault at most `d` times in a row reports `1 + d`, the
+    /// number of whole-query attempts it would have taken to get one clean
+    /// pass.
     pub attempts: u32,
 }
 
@@ -181,7 +286,7 @@ impl EngineAnswer {
 /// the built method behind an `Arc`, the I/O source, the build measurement
 /// and the policies — so cloning is two reference-count bumps and
 /// [`EngineHandle::answer`] takes `&self`. Both types answer through the same
-/// request pipeline (one routing step, one attempt loop), so a handle's
+/// request pipeline (one routing step, one measured kernel run), so a handle's
 /// answers, guarantees and reconciled stats are bit-identical to the engine
 /// it came from; callers aggregate the returned [`EngineAnswer`]s themselves.
 #[derive(Clone)]
@@ -195,7 +300,7 @@ pub struct EngineHandle {
     retry: RetryPolicy,
 }
 
-/// Which kernel one attempt of the pipeline runs.
+/// Which kernel the pipeline runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Execution {
     /// The method's per-query [`AnsweringMethod::answer`].
@@ -204,7 +309,7 @@ enum Execution {
     /// workers (the per-query call when the method has none).
     Intra(usize),
     /// The method's [`crate::method::BatchAnswering`] kernel over a whole
-    /// chunk, as attempt 0 only: any kernel error makes
+    /// chunk, with one try per read at attempt 0: any kernel error makes
     /// [`QueryEngine::answer_batch`] rerun the per-query loop instead.
     Batch,
 }
@@ -212,19 +317,18 @@ enum Execution {
 impl EngineHandle {
     /// Answers a query in its requested mode, with exactly the per-query
     /// measurement discipline of [`QueryEngine::answer`] (same mode routing,
-    /// I/O reset/reconciliation, retry loop and panic isolation).
+    /// I/O reset/reconciliation, read retries and panic isolation).
     pub fn answer(&self, query: &Query) -> Result<EngineAnswer> {
         self.answer_from_attempt(query, 0)
     }
 
-    /// Like [`EngineHandle::answer`], but with the retry loop's attempt
-    /// numbering shifted by `base_attempt` (announced through
-    /// [`IoSource::begin_attempt`], so fault-injecting sources key their
-    /// decisions on the shifted attempt). The serving layer's hedged retries
-    /// use a base past the primary's retry budget, giving the speculative
-    /// re-submission an independent — but equally deterministic — slice of
-    /// the fault plan. `base_attempt = 0` is exactly
-    /// [`EngineHandle::answer`].
+    /// Like [`EngineHandle::answer`], but every read of the query starts at
+    /// attempt `base_attempt` instead of 0 (the [`ReadRetryScope`] base, so
+    /// fault-injecting stores key their decisions on the shifted attempts).
+    /// The serving layer's hedged retries use a base past the primary's
+    /// retry budget, giving the speculative re-submission an independent —
+    /// but equally deterministic — slice of the fault plan.
+    /// `base_attempt = 0` is exactly [`EngineHandle::answer`].
     pub fn answer_from_attempt(&self, query: &Query, base_attempt: u32) -> Result<EngineAnswer> {
         self.answer_one(query, base_attempt, Execution::Serial)
     }
@@ -297,7 +401,7 @@ impl EngineHandle {
         }
     }
 
-    /// Routes and runs one query through the attempt loop.
+    /// Routes and runs one query.
     fn answer_one(
         &self,
         query: &Query,
@@ -312,14 +416,14 @@ impl EngineHandle {
         Ok(answers.swap_remove(0))
     }
 
-    /// The attempt loop, the one place queries are measured. Every attempt
-    /// announces its number (`base_attempt` + retries so far), resets the
-    /// calling thread's I/O shard, times `execution`'s kernel under panic
-    /// isolation, and on success reconciles store-side traffic into each
-    /// query's stats and charges the accumulated retry backoff. Retriable
-    /// errors are re-attempted under the [`RetryPolicy`] (a batch gets one
-    /// attempt). Returns the answers in `queries` order plus the calling
-    /// thread's store traffic of the successful attempt.
+    /// The one place queries are measured. Opens the calling thread's
+    /// [`ReadRetryScope`] (reads start at `base_attempt` and get the
+    /// [`RetryPolicy`]'s tries; a batch gets one), resets the thread's I/O
+    /// shard, and runs `execution`'s kernel once under a timer and panic
+    /// isolation. On success it reconciles store-side traffic into each
+    /// query's stats and charges the backoff of the deepest re-read. Returns
+    /// the answers in `queries` order plus the calling thread's store
+    /// traffic.
     fn execute(
         &self,
         queries: &[Query],
@@ -351,72 +455,56 @@ impl EngineHandle {
                 .collect()
         };
         let io = self.io.as_deref();
-        let mut attempt: u32 = 1;
-        let mut backoff_pages: u64 = 0;
-        loop {
-            // Every attempt announces its own number — a batch's single one
-            // included — so no kernel inherits the attempt a retried query
-            // left behind on this thread, and fault decisions stay a pure
-            // function of (seed, key, attempt).
-            if let Some(io) = io {
-                io.begin_attempt(base_attempt + attempt - 1);
-                io.reset_thread_io();
-            }
-            let mut stats = vec![QueryStats::default(); queries.len()];
-            // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
-            let clock = Instant::now();
-            // Panic isolation: a poisoned query becomes a typed internal
-            // error instead of unwinding through the caller's workload.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut stats)));
-            let wall_time = clock.elapsed();
-            let answer_sets = match outcome {
-                Err(panic) => return Err(Error::Internal(panic_message(panic))),
-                Ok(Ok(answer_sets)) => answer_sets,
-                Ok(Err(e)) if e.is_retriable() && attempt < max_attempts => {
-                    backoff_pages = backoff_pages.saturating_add(
-                        self.retry
-                            .backoff_pages
-                            .checked_shl(attempt - 1)
-                            .unwrap_or(u64::MAX),
-                    );
-                    attempt += 1;
-                    continue;
-                }
-                Ok(Err(e)) => return Err(e.with_attempts(attempt)),
-            };
-            let observed = io.map(|io| io.thread_io_snapshot()).unwrap_or_default();
-            // Per-query wall time inside a shared batch pass is ill-defined;
-            // the chunk's elapsed time is attributed evenly.
-            let wall_time = wall_time / queries.len().max(1) as u32;
-            let answers = answer_sets
-                .into_iter()
-                .zip(stats)
-                .map(|(answers, mut stats)| {
-                    // Methods charge leaf reads through their stats; the store
-                    // counters cover raw-file traffic. Keep whichever path
-                    // recorded more pages so neither is lost. A batch kernel
-                    // records each query's logical pass itself, and the
-                    // store then saw the chunk's one shared physical pass.
-                    if execution != Execution::Batch {
-                        stats.reconcile_io(observed);
-                    }
-                    if backoff_pages > 0 {
-                        // Charged after reconciliation so the max-wins rule
-                        // cannot absorb it.
-                        stats.record_io(0, backoff_pages, 0);
-                    }
-                    EngineAnswer {
-                        guarantee: answers.guarantee(),
-                        answers,
-                        stats,
-                        wall_time,
-                        attempts: attempt,
-                    }
-                })
-                .collect();
-            return Ok((answers, observed));
+        let scope = ReadRetryScope::enter(base_attempt, max_attempts);
+        if let Some(io) = io {
+            io.reset_thread_io();
         }
+        let mut stats = vec![QueryStats::default(); queries.len()];
+        // hydra-lint: allow(nondeterministic-source) wall-clock measurement; answers never read it
+        let clock = Instant::now();
+        // Panic isolation: a poisoned query becomes a typed internal error
+        // instead of unwinding through the caller's workload.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut stats)));
+        let wall_time = clock.elapsed();
+        let attempts = 1 + scope.deepest_reread();
+        drop(scope);
+        let answer_sets = match outcome {
+            Err(panic) => return Err(Error::Internal(panic_message(panic))),
+            Ok(Ok(answer_sets)) => answer_sets,
+            Ok(Err(e)) => return Err(e.with_attempts(attempts)),
+        };
+        let backoff_pages = self.retry.backoff_for(attempts - 1);
+        let observed = io.map(|io| io.thread_io_snapshot()).unwrap_or_default();
+        // Per-query wall time inside a shared batch pass is ill-defined; the
+        // chunk's elapsed time is attributed evenly.
+        let wall_time = wall_time / queries.len().max(1) as u32;
+        let answers = answer_sets
+            .into_iter()
+            .zip(stats)
+            .map(|(answers, mut stats)| {
+                // Methods charge leaf reads through their stats; the store
+                // counters cover raw-file traffic. Keep whichever path
+                // recorded more pages so neither is lost. A batch kernel
+                // records each query's logical pass itself, and the store
+                // then saw the chunk's one shared physical pass.
+                if execution != Execution::Batch {
+                    stats.reconcile_io(observed);
+                }
+                if backoff_pages > 0 {
+                    // Charged after reconciliation so the max-wins rule
+                    // cannot absorb it.
+                    stats.record_io(0, backoff_pages, 0);
+                }
+                EngineAnswer {
+                    guarantee: answers.guarantee(),
+                    answers,
+                    stats,
+                    wall_time,
+                    attempts,
+                }
+            })
+            .collect();
+        Ok((answers, observed))
     }
 
     /// Runs the native batch kernel over `queries`, thread-parallel across
@@ -529,8 +617,8 @@ impl QueryEngine {
         self
     }
 
-    /// Sets how retriable I/O faults are re-attempted (default:
-    /// [`RetryPolicy::none`]).
+    /// Sets how often a read that fails with a retriable I/O fault is
+    /// retried in place (default: [`RetryPolicy::none`]).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.handle.retry = retry;
         self
@@ -712,11 +800,11 @@ impl QueryEngine {
     /// before it in the batch are answered and merged, like the serial
     /// loop), or substituted with an exact query under
     /// [`FallbackPolicy::ExactFallback`]; range queries are typed
-    /// [`Error::UnsupportedQuery`] errors. The kernel runs as attempt 0 only:
-    /// any kernel error — a method-level one (length mismatch, empty
-    /// dataset) or an injected I/O fault — reruns the batch through the
-    /// per-query loop, which reproduces the serial error and retry semantics
-    /// exactly.
+    /// [`Error::UnsupportedQuery`] errors. The kernel's reads get one try
+    /// each, at attempt 0: any kernel error — a method-level one (length
+    /// mismatch, empty dataset) or an injected I/O fault — reruns the batch
+    /// through the per-query loop, which reproduces the serial error and
+    /// retry semantics exactly.
     pub fn answer_batch(
         &mut self,
         queries: &[Query],
@@ -1339,6 +1427,103 @@ mod tests {
             handle.answer(&q),
             Err(Error::UnsupportedMode { .. })
         ));
+    }
+
+    /// One read of a key that faults on attempts below `clears`: returns the
+    /// attempts it tried and whether it succeeded.
+    fn flaky_read(clears: u32) -> (Vec<u32>, bool) {
+        let mut tried = Vec::new();
+        let result = retry_read(|attempt| {
+            tried.push(attempt);
+            if attempt < clears {
+                Err(Error::retriable_io(std::io::Error::other("flaky")))
+            } else {
+                Ok(())
+            }
+        });
+        (tried, result.is_ok())
+    }
+
+    #[test]
+    fn read_retry_scopes_are_thread_local_and_nest() {
+        // Outside any scope a read gets one try, at attempt 0.
+        assert_eq!(flaky_read(5), (vec![0], false));
+        let outer = ReadRetryScope::enter(2, 3);
+        assert_eq!(flaky_read(3), (vec![2, 3], true));
+        assert_eq!(outer.deepest_reread(), 1);
+        std::thread::spawn(|| assert_eq!(flaky_read(5), (vec![0], false)))
+            .join()
+            .unwrap();
+        {
+            let inner = ReadRetryScope::enter(0, 1);
+            assert_eq!(flaky_read(1), (vec![0], false));
+            assert_eq!(inner.deepest_reread(), 0);
+        }
+        // A scope closed by a panic restores the one it replaced too.
+        let panicked = std::panic::catch_unwind(|| {
+            let _scope = ReadRetryScope::enter(7, 2);
+            panic!("kernel panic");
+        });
+        assert!(panicked.is_err());
+        assert_eq!(flaky_read(9), (vec![2, 3, 4], false));
+        assert_eq!(outer.deepest_reread(), 2);
+        drop(outer);
+        assert_eq!(flaky_read(5), (vec![0], false));
+    }
+
+    #[test]
+    fn read_retries_report_attempts_and_charge_backoff_once() {
+        /// Reads one key that faults on its first two attempts.
+        struct Flaky(Arc<std::sync::atomic::AtomicU32>);
+        impl AnsweringMethod for Flaky {
+            fn descriptor(&self) -> MethodDescriptor {
+                MethodDescriptor {
+                    name: "Flaky",
+                    representation: "raw",
+                    is_index: false,
+                    modes: crate::method::ModeCapabilities::exact_only(),
+                }
+            }
+            fn answer(&self, _q: &Query, _stats: &mut QueryStats) -> Result<AnswerSet> {
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                retry_read(|attempt| match attempt {
+                    0 | 1 => Err(Error::retriable_io(std::io::Error::other("flaky"))),
+                    _ => Ok(AnswerSet::default()),
+                })
+            }
+        }
+        let calls = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let engine = |retry| {
+            QueryEngine::new(Box::new(Flaky(calls.clone())), 1)
+                .with_retry_policy(retry)
+                .into_handle()
+        };
+        let q = Query::nearest_neighbor(Series::new(vec![0.0]));
+        let a = engine(RetryPolicy::new(4, 2)).answer(&q).unwrap();
+        assert_eq!(a.attempts, 3);
+        // Backoff 2 + 4 pages, charged once for the query.
+        assert_eq!(a.stats.random_page_accesses, 6);
+        // A base past the planned faults needs no re-read and no backoff.
+        let hedge = engine(RetryPolicy::new(4, 2))
+            .answer_from_attempt(&q, 2)
+            .unwrap();
+        assert_eq!((hedge.attempts, hedge.stats.random_page_accesses), (1, 0));
+        // Exhausted tries surface the read's typed error.
+        for (retry, tries) in [(RetryPolicy::none(), 1), (RetryPolicy::new(2, 2), 2)] {
+            match engine(retry).answer(&q) {
+                Err(Error::Io {
+                    retriable: true,
+                    attempts,
+                    ..
+                }) => assert_eq!(attempts, tries),
+                other => panic!("expected an exhausted read, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            calls.load(std::sync::atomic::Ordering::Relaxed),
+            4,
+            "one kernel call per query"
+        );
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub use distance::{
     squared_euclidean_early_abandon, QueryOrder,
 };
 pub use engine::{
-    Completion, EngineAnswer, EngineHandle, FallbackPolicy, IoSource, QueryEngine, RetryPolicy,
+    retry_read, Completion, EngineAnswer, EngineHandle, FallbackPolicy, IoSource, QueryEngine,
+    ReadRetryScope, RetryPolicy,
 };
 pub use error::{Error, Result};
 pub use hash::Fnv1a;

@@ -131,9 +131,9 @@ impl IntraAnswering for MassScan {
     /// splits into one contiguous chunk per worker with **no** shared state
     /// at all — each worker keeps its own spectrum scratch and produces the
     /// exact squared distance the serial loop would. A serial replay offers
-    /// the precomputed values in storage order inside the counted
-    /// [`DatasetStore::scan_all`] pass, reproducing the serial I/O envelope
-    /// and heap evolution bit for bit.
+    /// the precomputed values in storage order inside the counted, fallible
+    /// [`DatasetStore::try_scan_all`] pass, reproducing the serial I/O
+    /// envelope, fault handling and heap evolution bit for bit.
     fn answer_intra(
         &self,
         query: &Query,
@@ -175,10 +175,11 @@ impl IntraAnswering for MassScan {
             out
         });
         let mut heap = KnnHeap::new(k);
-        self.store.scan_all(|id, _series| {
+        self.store.try_scan_all(|id, _series| {
             stats.record_raw_series_examined(1);
             heap.offer(id, squared[id].sqrt());
-        });
+            Ok(ControlFlow::Continue(()))
+        })?;
         stats.cpu_time += clock.elapsed();
         let delta = self.store.thread_io_snapshot().since(&before);
         stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);

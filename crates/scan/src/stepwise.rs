@@ -342,9 +342,10 @@ impl IntraAnswering for Stepwise {
     /// fan out across workers ([`Stepwise::filter_level_intra`]) while the
     /// level ordering, I/O charges and pruning stay serial; the refinement
     /// distances of the surviving candidates are computed in parallel from
-    /// the in-memory dataset, then replayed in id order through counted
-    /// [`DatasetStore::read_series`] calls so the random-access profile and
-    /// heap evolution match the serial path bit for bit.
+    /// the in-memory dataset, then replayed in id order through counted,
+    /// fallible [`DatasetStore::try_read_series`] calls so the random-access
+    /// profile, heap evolution and fault handling match the serial path bit
+    /// for bit.
     fn answer_intra(
         &self,
         query: &Query,
@@ -403,7 +404,7 @@ impl IntraAnswering for Stepwise {
         });
         let mut heap = KnnHeap::new(k);
         for (&id, &d) in survivors.iter().zip(&distances) {
-            let _series = self.store.read_series(id);
+            let _series = self.store.try_read_series(id)?;
             stats.record_raw_series_examined(1);
             heap.offer(id, d);
         }

@@ -112,8 +112,9 @@ impl IntraAnswering for UcrScan {
     /// contiguous chunk per worker; every worker prunes against the tighter
     /// of its own local heap and the [`SharedBsf`], recording one [`Outcome`]
     /// per candidate from the in-memory dataset (no store traffic). A serial
-    /// replay then walks the counted [`DatasetStore::scan_all`] pass in
-    /// storage order and decides every candidate from its recorded outcome
+    /// replay then walks the counted, fallible [`DatasetStore::try_scan_all`]
+    /// pass in storage order (consulting the fault plan like the serial
+    /// scan) and decides every candidate from its recorded outcome
     /// via [`replay_outcome`], so answers, `early_abandons`, and the full
     /// logical I/O pass are bit-identical to [`AnsweringMethod::answer`].
     fn answer_intra(
@@ -163,7 +164,7 @@ impl IntraAnswering for UcrScan {
         });
         // Serial replay: the counted scan reproduces the serial pass exactly.
         let mut heap = KnnHeap::new(k);
-        self.store.scan_all(|id, series| {
+        self.store.try_scan_all(|id, series| {
             stats.record_raw_series_examined(1);
             let replayed = replay_outcome(outcomes[id], heap.threshold_squared(), |t| {
                 squared_euclidean_reordered(query.values(), series.values(), &order, t)
@@ -174,7 +175,8 @@ impl IntraAnswering for UcrScan {
                 }
                 None => stats.record_early_abandon(),
             }
-        });
+            Ok(ControlFlow::Continue(()))
+        })?;
         stats.cpu_time += clock.elapsed();
         let delta = self.store.thread_io_snapshot().since(&before);
         stats.record_io(delta.sequential_pages, delta.random_pages, delta.bytes_read);

@@ -72,9 +72,10 @@ impl std::fmt::Display for QuorumPolicy {
 
 /// Hedged-retry tuning. A hedge is a speculative second submission of a
 /// shard sub-query, launched alongside the primary when the shard's recent
-/// answers have been expensive; the hedge re-runs the engine from a shifted
-/// fault-attempt base (past the retry budget), so planned transient faults
-/// that would fail the primary are already cleared for the hedge — a
+/// answers have been expensive; the hedge re-runs the engine with every read
+/// starting its in-place tries at a base past the retry budget (see
+/// `EngineHandle::answer_from_attempt`), so planned transient faults that
+/// would fail the primary's reads are already cleared for the hedge — a
 /// deterministic stand-in for "the retry raced ahead of the slow replica".
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HedgeConfig {

@@ -437,9 +437,9 @@ async fn process_request(inner: &Arc<ServiceInner>, query: &Query) -> Result<Ser
     // a threaded drive can run them concurrently. Each shard's breaker rules
     // on admission first; a denied shard contributes a typed CircuitOpen
     // outcome without any engine work. A shard whose recent answers were
-    // slow gets a hedge: a speculative clone submission running from a
-    // shifted fault-attempt base (past the retry budget), so planned
-    // transients that doom the primary are already cleared for it.
+    // slow gets a hedge: a speculative clone submission whose reads start
+    // their tries at a base past the retry budget, so planned transients
+    // that doom the primary's reads are already cleared for it.
     let dispatches: Vec<_> = inner
         .shards
         .iter()

@@ -2,12 +2,16 @@
 //!
 //! A [`FaultPlan`] decides — as a **pure function** of its seed, a fault
 //! stream, the access key (series id / snapshot name hash), and the retry
-//! attempt — whether a given storage access fails and how. Nothing is drawn
-//! from a stateful RNG, so the fault sequence is independent of thread
-//! interleaving and batch order: the same seed produces the same faults for
-//! every access no matter how the workload is scheduled, which preserves the
-//! repo's bit-identity discipline (chaos runs are reproducible, and a
-//! disabled plan is exactly today's fault-free behaviour).
+//! attempt — whether a given storage access fails and how. The attempt is
+//! the read's own try number: the store re-reads a faulted key in place
+//! under the calling thread's `hydra_core::ReadRetryScope`, trying
+//! attempts `base`, `base + 1`, … until the planned failures clear or the
+//! retry policy's tries run out. Nothing is drawn from a stateful RNG, so
+//! the fault sequence is independent of thread interleaving and batch
+//! order: the same seed produces the same faults for every access no matter
+//! how the workload is scheduled, which preserves the repo's bit-identity
+//! discipline (chaos runs are reproducible, and a disabled plan is exactly
+//! today's fault-free behaviour).
 //!
 //! The taxonomy mirrors what a disk-bound similarity-search service actually
 //! sees:
@@ -19,12 +23,10 @@
 //!   `InvalidData`, also retriable (a re-read models fetching the page from
 //!   a replica), with their own planned failure count;
 //! * **latency surcharges** — extra *cost-model* pages charged to the
-//!   counters (never wall clock, so modelled I/O time degrades
-//!   deterministically);
+//!   counters on every try of a read (never wall clock, so modelled I/O
+//!   time degrades deterministically);
 //! * **snapshot corruption** — a byte flipped in a just-written snapshot
 //!   file, exercising the quarantine-and-rebuild recovery path.
-
-use std::cell::Cell;
 
 /// Per-fault-class rates and knobs. All rates are probabilities in `[0, 1]`
 /// and default to zero (no faults).
@@ -286,22 +288,6 @@ pub fn key_for_bytes(bytes: &[u8]) -> u64 {
     hash
 }
 
-thread_local! {
-    // Which retry attempt the engine is running on this thread; set through
-    // `IoSource::begin_attempt` so fault decisions can clear across retries.
-    static ATTEMPT: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Records the engine's current retry attempt (0-based) for this thread.
-pub fn set_attempt(attempt: u32) {
-    ATTEMPT.with(|c| c.set(attempt));
-}
-
-/// The calling thread's current retry attempt (0-based).
-pub fn current_attempt() -> u32 {
-    ATTEMPT.with(|c| c.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,17 +363,6 @@ mod tests {
                 assert_eq!(plan.read_outcome(key, max).error, None, "key {key}");
             }
         }
-    }
-
-    #[test]
-    fn attempt_tracking_is_thread_local() {
-        assert_eq!(current_attempt(), 0);
-        set_attempt(2);
-        assert_eq!(current_attempt(), 2);
-        std::thread::spawn(|| assert_eq!(current_attempt(), 0))
-            .join()
-            .unwrap();
-        set_attempt(0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! identical rules — the paper's "same conditions for every method" principle.
 
 use crate::counters::{IoCounters, IoSnapshot};
-use crate::fault::{self, FaultPlan};
-use hydra_core::engine::IoSource;
+use crate::fault::FaultPlan;
+use hydra_core::engine::{retry_read, IoSource};
 use hydra_core::series::{Dataset, SeriesView};
 use hydra_core::{Error, Result};
 use std::ops::ControlFlow;
@@ -195,20 +195,25 @@ impl DatasetStore {
         }
     }
 
-    /// Consults the fault plan for the access keyed `key` on the calling
-    /// thread's current retry attempt: charges any latency surcharge to the
-    /// counters and surfaces injected failures as retriable
-    /// [`Error::Io`] values.
-    fn fault_check(&self, key: u64) -> Result<()> {
+    /// Consults the fault plan for the access keyed `key`, re-reading in
+    /// place under the calling thread's read-retry scope (see
+    /// [`hydra_core::ReadRetryScope`]): every try charges its latency
+    /// surcharge to the counters when `charge_surcharge` is set, and a read
+    /// whose tries all fault returns the last one's retriable [`Error::Io`].
+    fn fault_check(&self, key: u64, charge_surcharge: bool) -> Result<()> {
         if !self.fault.is_active() {
             return Ok(());
         }
-        let outcome = self.fault.read_outcome(key, fault::current_attempt());
-        self.counters.record_surcharge(outcome.surcharge_pages);
-        if let Some(err) = outcome.error {
-            return Err(Error::retriable_io(err.to_io_error()));
-        }
-        Ok(())
+        retry_read(|attempt| {
+            let outcome = self.fault.read_outcome(key, attempt);
+            if charge_surcharge {
+                self.counters.record_surcharge(outcome.surcharge_pages);
+            }
+            match outcome.error {
+                Some(err) => Err(Error::retriable_io(err.to_io_error())),
+                None => Ok(()),
+            }
+        })
     }
 
     /// Fallible twin of [`DatasetStore::read_series`]: an out-of-bounds id is
@@ -219,7 +224,7 @@ impl DatasetStore {
         if id >= self.dataset.len() {
             return Err(Error::NotFound(format!("series {id}")));
         }
-        self.fault_check(id as u64)?;
+        self.fault_check(id as u64, true)?;
         Ok(self.read_series(id))
     }
 
@@ -237,7 +242,7 @@ impl DatasetStore {
                 first_id + count
             )));
         }
-        self.fault_check(first_id as u64)?;
+        self.fault_check(first_id as u64, true)?;
         Ok(self.read_run(first_id, count))
     }
 
@@ -263,7 +268,7 @@ impl DatasetStore {
         }
         let (mut next_page, _) = self.page_range(0);
         for i in 0..n {
-            self.fault_check(i as u64)?;
+            self.fault_check(i as u64, true)?;
             let (first, last) = self.page_range(i);
             if last >= next_page {
                 let from = next_page.max(first);
@@ -282,16 +287,10 @@ impl DatasetStore {
 
     /// A fault checkpoint for access paths that do their own I/O accounting
     /// (index leaf scans charge pages through their `QueryStats`): consults
-    /// the plan's error faults for `key` without touching the counters.
+    /// the plan's error faults for `key`, retried in place like
+    /// [`DatasetStore::fault_check`], without touching the counters.
     pub fn try_access(&self, key: u64) -> Result<()> {
-        if !self.fault.is_active() {
-            return Ok(());
-        }
-        let outcome = self.fault.read_outcome(key, fault::current_attempt());
-        if let Some(err) = outcome.error {
-            return Err(Error::retriable_io(err.to_io_error()));
-        }
-        Ok(())
+        self.fault_check(key, false)
     }
 
     /// Marks an explicit seek (used by skip-sequential algorithms between
@@ -355,16 +354,13 @@ impl IoSource for DatasetStore {
     fn has_thread_scoped_counters(&self) -> bool {
         true
     }
-
-    fn begin_attempt(&self, attempt: u32) {
-        fault::set_attempt(attempt);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hydra_core::series::Dataset;
+    use hydra_core::ReadRetryScope;
 
     fn dataset(count: usize, len: usize) -> Dataset {
         let values: Vec<f32> = (0..count * len).map(|i| i as f32).collect();
@@ -575,12 +571,75 @@ mod tests {
         assert!(err.is_retriable());
         assert!(store.try_access(0).is_err());
         // The planned failure count is 1: the first retry succeeds.
-        fault::set_attempt(1);
-        assert!(store.try_read_series(0).is_ok());
-        assert!(store.try_access(0).is_ok());
-        fault::set_attempt(0);
+        {
+            let _retry = ReadRetryScope::enter(1, 1);
+            assert!(store.try_read_series(0).is_ok());
+            assert!(store.try_access(0).is_ok());
+        }
         // Infallible paths stay fault-free by design.
         store.read_series(0);
+    }
+
+    #[test]
+    fn a_faulted_read_is_retried_in_place_until_its_tries_run_out() {
+        // Every key faults on its first 1 to 4 attempts.
+        let config = crate::fault::FaultConfig {
+            read_error: 1.0,
+            max_transient_attempts: 4,
+            ..Default::default()
+        };
+        let plan = FaultPlan::seeded(5, config);
+        let store = DatasetStore::new(dataset(64, 256)).with_fault_plan(plan);
+        let faults = |key: usize, attempt: u32| plan.read_outcome(key as u64, attempt).error;
+        // A key still faulted on its third try, and one that clears on it.
+        let stubborn = (0..64).find(|&k| faults(k, 2).is_some()).unwrap();
+        let brief = (0..64)
+            .find(|&k| faults(k, 1).is_some() && faults(k, 2).is_none())
+            .unwrap();
+        let retry = ReadRetryScope::enter(0, 3);
+        match store.try_read_series(stubborn) {
+            Err(Error::Io {
+                retriable: true,
+                attempts: 3,
+                ..
+            }) => {}
+            other => panic!("expected an exhausted retriable read, got {other:?}"),
+        }
+        assert_eq!(retry.deepest_reread(), 2);
+        assert_eq!(store.io_snapshot().total_pages(), 0, "nothing was read");
+        drop(retry);
+
+        let retry = ReadRetryScope::enter(0, 3);
+        assert!(store.try_read_series(brief).is_ok());
+        assert!(store.try_access(brief as u64).is_ok());
+        assert_eq!(retry.deepest_reread(), 2);
+        drop(retry);
+        // Outside any scope a read gets one try at attempt 0.
+        assert!(matches!(
+            store.try_read_series(brief),
+            Err(Error::Io { attempts: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn a_retried_read_charges_one_read_plus_every_tries_surcharge() {
+        // Every key faults on attempt 0 only, and every try is surcharged.
+        let config = crate::fault::FaultConfig {
+            read_error: 1.0,
+            max_transient_attempts: 1,
+            latency: 1.0,
+            latency_pages: 3,
+            ..Default::default()
+        };
+        let store =
+            DatasetStore::new(dataset(10, 256)).with_fault_plan(FaultPlan::seeded(3, config));
+        let retry = ReadRetryScope::enter(0, 4);
+        store.try_read_series(0).unwrap();
+        assert_eq!(retry.deepest_reread(), 1);
+        let io = store.io_snapshot();
+        // 1 page for the read + 3 surcharge pages for each of the 2 tries.
+        assert_eq!(io.random_pages, 1 + 2 * 3);
+        assert_eq!(io.bytes_read, 1024);
     }
 
     #[test]

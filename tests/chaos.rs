@@ -13,16 +13,19 @@
 //!   injection, answers and per-query work counters alike;
 //! * a tight budget returns a non-empty best-so-far answer tagged
 //!   `Guarantee::Truncated`, and a budget large enough to never trip is
-//!   bit-identical to the unbudgeted path.
+//!   bit-identical to the unbudgeted path;
+//! * a faulted read is retried in place: each query runs its kernel once,
+//!   and intra-query kernels meet the same faults as the serial path.
 
 use hydra_bench::MethodKind;
 use hydra_core::{
-    Budget, Dataset, EngineAnswer, Error, Guarantee, Parallelism, Query, QueryEngine, QueryStats,
-    RetryPolicy,
+    AnswerSet, AnsweringMethod, Budget, Dataset, EngineAnswer, Error, Guarantee, MethodDescriptor,
+    Parallelism, Query, QueryEngine, QueryStats, RetryPolicy,
 };
 use hydra_data::RandomWalkGenerator;
 use hydra_integration::{dataset, options};
 use hydra_storage::{DatasetStore, FaultConfig, FaultPlan};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SEED: u64 = 0xBAD5EED;
@@ -217,6 +220,76 @@ fn batches_under_faults_match_the_per_query_loop_on_fresh_and_reused_threads() {
             );
         }
     }
+}
+
+#[test]
+fn intra_queries_under_faults_match_the_serial_path() {
+    let data = dataset(300, 64, 42);
+    let queries = chaos_queries(&data);
+    let retry = RetryPolicy::new(4, 2);
+    for kind in MethodKind::ALL.into_iter().filter(|k| k.supports_intra()) {
+        let mut serial =
+            engine_with_plan(kind, &data, FaultPlan::seeded(SEED, chaos_config()), retry);
+        let mut intra =
+            engine_with_plan(kind, &data, FaultPlan::seeded(SEED, chaos_config()), retry);
+        for (qi, q) in queries.iter().enumerate() {
+            assert_eq!(
+                outcome(kind, qi, intra.answer_intra(q, Parallelism::Threads(2))),
+                outcome(kind, qi, serial.answer(q)),
+                "{}: intra diverged from the serial path on query {qi}",
+                kind.name()
+            );
+        }
+    }
+}
+
+/// Counts the kernel calls of the method it wraps.
+struct CountingKernel {
+    inner: Box<dyn AnsweringMethod>,
+    calls: Arc<AtomicU64>,
+}
+
+impl AnsweringMethod for CountingKernel {
+    fn descriptor(&self) -> MethodDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn answer(&self, query: &Query, stats: &mut QueryStats) -> hydra_core::Result<AnswerSet> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.answer(query, stats)
+    }
+}
+
+#[test]
+fn a_faulted_query_runs_its_kernel_once() {
+    let data = dataset(300, 64, 42);
+    let queries = chaos_queries(&data);
+    let store = Arc::new(
+        DatasetStore::new(data.clone()).with_fault_plan(FaultPlan::seeded(SEED, chaos_config())),
+    );
+    let calls = Arc::new(AtomicU64::new(0));
+    let method = CountingKernel {
+        inner: MethodKind::VaPlusFile
+            .build_boxed_on_store(store.clone(), &options(64))
+            .unwrap(),
+        calls: calls.clone(),
+    };
+    store.reset_io();
+    let mut engine = QueryEngine::new(Box::new(method), store.len())
+        .with_io_source(store)
+        .with_retry_policy(RetryPolicy::new(4, 2));
+    let answers = engine
+        .answer_workload(&queries, Parallelism::Serial)
+        .unwrap();
+    assert!(
+        answers.iter().any(|a| a.attempts > 1),
+        "no query hit a faulted read, so the test proves nothing"
+    );
+    assert_eq!(
+        calls.load(Ordering::Relaxed),
+        queries.len() as u64,
+        "a faulted read reran the whole query"
+    );
 }
 
 #[test]
